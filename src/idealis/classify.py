@@ -18,7 +18,6 @@ of the two answers win silently.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 
 from . import _kernel as K
@@ -188,14 +187,18 @@ def _structurally_modular(sys: System) -> bool:
 
 
 class PropertyContext:
-    """Caches shared by every property decided for one (H, r, radius)."""
+    """Views shared by every property decided for one (H, r, radius).
+
+    A context holds no state of its own: verdicts and views live in the
+    system's memo (``r._cache``) or the model's (``H.memo``), so every
+    context over the same triple shares them.
+    """
 
     def __init__(self, H: MonoidModel, sys: System, radius: int):
         self.monoid = H
         self.sys = sys
         self.radius = radius
-        self._vals: dict = {}
-        self._misc: dict = {}
+        self._vals = sys._cache.setdefault(("props", radius), {})
 
     # -- dispatch ----------------------------------------------------------
 
@@ -226,24 +229,20 @@ class PropertyContext:
     def proper(self, I: Ideal) -> bool:
         return not I.contains_vec(self.zero())
 
-    # -- cached views ------------------------------------------------------
+    # -- views -------------------------------------------------------------
 
-    def box(self, radius=None):
-        r = self.radius if radius is None else radius
-        key = ("box", r)
-        if key not in self._misc:
-            self._misc[key] = list(self.monoid.enumerate(r))
-        return self._misc[key]
+    def box(self, radius: int) -> list:
+        key = ("box", radius)
+        got = self.monoid.memo.get(key)
+        if got is None:
+            got = self.monoid.memo[key] = list(self.monoid.enumerate(radius))
+        return got
 
     def lattice_at(self, radius: int):
-        key = ("lat", radius)
-        if key not in self._misc:
-            try:
-                self._misc[key] = closed_ideals(self.sys, radius,
-                                                cap=5000, max_ground=360)
-            except K.BudgetExceeded:
-                self._misc[key] = None
-        return self._misc[key]
+        try:
+            return closed_ideals(self.sys, radius, cap=5000, max_ground=360)
+        except K.BudgetExceeded:
+            return None
 
     def lattice(self):
         # the s-lattice explodes combinatorially, keep its box small
@@ -251,27 +250,24 @@ class PropertyContext:
         return self.lattice_at(r)
 
     def invertibles(self):
-        if "inv" not in self._misc:
-            lat = self.lattice()
-            if lat is None:
-                self._misc["inv"] = None
-            else:
-                self._misc["inv"] = tuple(
-                    I for I in lat
-                    if self.proper(I) and is_invertible(I, self.sys))
-        return self._misc["inv"]
-
-    def radical_universe(self) -> tuple:
-        if "radu" not in self._misc:
-            self._misc["radu"] = radical_closed_ideals(self.sys)
-        return self._misc["radu"]
+        lat = self.lattice()
+        if lat is None:
+            return None
+        key = ("invertibles", self.radius)
+        got = self.sys._cache.get(key)
+        if got is None:
+            got = self.sys._cache[key] = tuple(
+                I for I in lat
+                if self.proper(I) and is_invertible(I, self.sys))
+        return got
 
     def invertible_radicals(self) -> tuple:
-        if "invrad" not in self._misc:
-            self._misc["invrad"] = tuple(
-                J for J in self.radical_universe()
+        got = self.sys._cache.get("invertible_radicals")
+        if got is None:
+            got = self.sys._cache["invertible_radicals"] = tuple(
+                J for J in radical_closed_ideals(self.sys)
                 if is_invertible(J, self.sys))
-        return self._misc["invrad"]
+        return got
 
     def cells(self):
         """Support cells with nonempty counting support, sorted by gens.
@@ -279,62 +275,37 @@ class PropertyContext:
         Each cell must be closed under the system at hand; that is a theorem
         for every system between s and v on these models, so it is asserted.
         """
-        if "cells" not in self._misc:
+        got = self.sys._cache.get("cells")
+        if got is None:
             H = self.monoid
             out = []
             cnt = sorted(H.counting)
             for m in range(1, len(cnt) + 1):
                 for S in itertools.combinations(cnt, m):
                     C = ideal_from(_cell_gens(H, S), H)
-                    assert ideal_eq(close(self.sys, C), C), (S, self.sys.label)
+                    if not ideal_eq(close(self.sys, C), C):
+                        raise AssertionError((S, self.sys.label))
                     out.append((frozenset(S), C))
             out.sort(key=lambda sc: sc[1].gens)
-            self._misc["cells"] = tuple(out)
-        return self._misc["cells"]
+            got = self.sys._cache["cells"] = tuple(out)
+        return got
 
     def closed_primes(self):
-        if "cp" not in self._misc:
-            spec = primes(self.monoid)
-            out = [P for P in spec.primes
+        got = self.sys._cache.get("closed_primes")
+        if got is None:
+            out = [P for P in primes(self.monoid).primes
                    if ideal_eq(close(self.sys, P.ideal), P.ideal)]
             out.sort(key=lambda P: (len(P.face), sorted(P.face)))
-            self._misc["cp"] = tuple(out)
-        return self._misc["cp"]
+            got = self.sys._cache["closed_primes"] = tuple(out)
+        return got
+
+    # Both lists come sorted by (face size, sorted face), like closed_primes.
 
     def rmax(self):
-        if "rmax" not in self._misc:
-            out = list(r_max(self.monoid, self.sys))
-            out.sort(key=lambda P: (len(P.face), sorted(P.face)))
-            self._misc["rmax"] = tuple(out)
-        return self._misc["rmax"]
+        return r_max(self.monoid, self.sys)
 
     def x1(self):
-        if "x1" not in self._misc:
-            out = list(height_one(self.monoid))
-            out.sort(key=lambda P: (len(P.face), sorted(P.face)))
-            self._misc["x1"] = tuple(out)
-        return self._misc["x1"]
-
-    def localization(self, face) -> MonoidModel:
-        key = ("loc", frozenset(face))
-        if key not in self._misc:
-            self._misc[key] = self.monoid.localize(face)
-        return self._misc[key]
-
-    def localization_dvm(self, face) -> str:
-        """is_dvm verdict for the localization, shared across systems.
-
-        The discreteness sweep is quadratic in the box, so the verdict is
-        memoized per face on the parent model.
-        """
-        memo = _DVM_MEMO.setdefault(self.monoid, {})
-        key = frozenset(face)
-        if key not in memo:
-            memo[key] = is_dvm(self.localization(face))
-        return memo[key]
-
-
-_DVM_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        return height_one(self.monoid)
 
 
 class _CtxMap(dict):
@@ -413,7 +384,7 @@ def _radical_product_search(ctx: PropertyContext, I: Ideal, universe=None):
     sys = ctx.sys
     H = ctx.monoid
     if universe is None:
-        universe = ctx.radical_universe()
+        universe = radical_closed_ideals(ctx.sys)
     # every factor contains the product
     universe = [R for R in universe if ideal_subset(I, R)]
     if not universe:
@@ -518,9 +489,9 @@ def _p_almost_dedekind(ctx):
     if not ctx.rmax():
         return _t(note="no maximal closed primes", vacuous=True)
     for P in ctx.rmax():
-        if ctx.localization_dvm(P.face) != "true":
-            return _f({"face": sorted(P.face),
-                       "localization": ctx.localization(P.face).name},
+        loc = ctx.monoid.localize(P.face)
+        if is_dvm(loc) != "true":
+            return _f({"face": sorted(P.face), "localization": loc.name},
                       note="localization at the marked maximal closed prime "
                            "is not a discrete valuation monoid")
     return _t(note="all localizations at maximal closed primes are discrete "
@@ -533,9 +504,9 @@ def _p_localizations_dvm(ctx):
     if not ctx.x1():
         return _t(note="no height-one primes", vacuous=True)
     for P in ctx.x1():
-        if ctx.localization_dvm(P.face) != "true":
-            return _f({"face": sorted(P.face),
-                       "localization": ctx.localization(P.face).name},
+        loc = ctx.monoid.localize(P.face)
+        if is_dvm(loc) != "true":
+            return _f({"face": sorted(P.face), "localization": loc.name},
                       note="localization at the marked height-one prime is "
                            "not a discrete valuation monoid")
     return _t(note="all localizations at height-one primes are discrete "
@@ -552,8 +523,10 @@ def _p_sp(ctx):
     if ctx.singular:
         w = _least_singular_principal(ctx)
         out = sp_factor(w, ctx.sys)
-        assert isinstance(out, Failure), out
-        assert _radical_product_search(ctx, w) is None
+        if not isinstance(out, Failure):
+            raise AssertionError(out)
+        if _radical_product_search(ctx, w) is not None:
+            raise AssertionError
         return _f(out.witness,
                   note=f"the principal ideal {list(w.gens[0])}+H has no "
                        "factorization into radical closed ideals; its "
@@ -563,7 +536,8 @@ def _p_sp(ctx):
         if lat is not None:
             for I in lat:
                 if ctx.proper(I):
-                    assert sp_factor(I, ctx.sys).ok, I
+                    if not sp_factor(I, ctx.sys).ok:
+                        raise AssertionError(I)
         return _t(note="closed ideals are principal and peel along supports")
     if len(H.counting) <= 1:
         return _t(note="closed ideals are powers of the height-one cell")
@@ -571,8 +545,10 @@ def _p_sp(ctx):
     w = ideal_from([_scaled_unit(H, i, 3),
                     tuple((1 if a in (i, j) else 0) for a in range(H.dim))],
                    H)
-    assert ideal_eq(close(ctx.sys, w), w)
-    assert _radical_product_search(ctx, w) is None
+    if not ideal_eq(close(ctx.sys, w), w):
+        raise AssertionError
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="closed ideal with no factorization into radical "
                       "closed ideals; the complete bounded search is empty")
 
@@ -585,13 +561,15 @@ def _p_prufer(ctx):
         return _t(note="the only nonempty ideal is H", vacuous=True)
     if ctx.singular:
         C = _cell_of(ctx, {ctx.singular[0]})
-        assert not is_invertible(C, ctx.sys)
+        if is_invertible(C, ctx.sys):
+            raise AssertionError
         return _f(C, note="closed finitely generated support cell that is "
                           "not invertible")
     if ctx.eff == "t" or len(H.counting) == 1:
         return _t(note="closed finitely generated ideals are principal")
     M = _two_gen_max(ctx)
-    assert not is_invertible(M, ctx.sys)
+    if is_invertible(M, ctx.sys):
+        raise AssertionError
     return _f(M, note="the two-generator height-two prime is not invertible")
 
 
@@ -603,13 +581,15 @@ def _p_bezout(ctx):
         return _t(note="the only nonempty ideal is H", vacuous=True)
     if ctx.singular:
         C = _cell_of(ctx, {ctx.singular[0]})
-        assert not C.is_principal
+        if C.is_principal:
+            raise AssertionError
         return _f(C, note="closed finitely generated support cell that is "
                           "not principal")
     if ctx.eff == "t" or len(H.counting) == 1:
         return _t(note="closed finitely generated ideals are principal")
     M = _two_gen_max(ctx)
-    assert not M.is_principal
+    if M.is_principal:
+        raise AssertionError
     return _f(M, note="the two-generator height-two prime is not principal")
 
 
@@ -675,13 +655,15 @@ def _p_radical_factorial(ctx):
         if len(H.counting) <= 2:
             for v in ctx.box(min(ctx.radius, 4))[:40]:
                 if any(v[i] for i in H.counting):
-                    assert radical_factor_principal(H, v).ok, v
+                    if not radical_factor_principal(H, v).ok:
+                        raise AssertionError(v)
         return _t(note="greedy support peeling writes every element as a "
                        "sum of characteristic vectors")
     out = radical_factor_principal(
         H, _scaled_unit(H, ctx.singular[0],
                         H.coords[ctx.singular[0]].n1))
-    assert isinstance(out, Failure)
+    if not isinstance(out, Failure):
+        raise AssertionError
     return _f(out.witness,
               note="radical of the least singular atom is not principal, "
                    "the greedy peel has no radical element to start with")
@@ -717,20 +699,25 @@ def _p_ppc(ctx):
         if found is None:
             found = _least_singular_principal(ctx)
             R = radical(found)
-            assert _is_power_of(sys, found, R) is None
-            assert _box_primary(ctx, found)
+            if _is_power_of(sys, found, R) is not None:
+                raise AssertionError
+            if not _box_primary(ctx, found):
+                raise AssertionError
         return _f(found, note="primary closed ideal with prime radical that "
                               "is no closed power of it")
     if ctx.eff == "t" or len(H.counting) == 1:
-        assert lattice_counterexample() is None
+        if lattice_counterexample() is not None:
+            raise AssertionError
         return _t(note="primary closed ideals with prime radical are powers "
                        "of the corresponding cell")
     found = lattice_counterexample()
     if found is None:
         i, j = sorted(H.counting)[:2]
         found = ideal_from([_scaled_unit(H, i, 1), _scaled_unit(H, j, 2)], H)
-        assert _box_primary(ctx, found)
-        assert _is_power_of(sys, found, radical(found)) is None
+        if not _box_primary(ctx, found):
+            raise AssertionError
+        if _is_power_of(sys, found, radical(found)) is not None:
+            raise AssertionError
     return _f(found, note="primary closed ideal with prime radical that is "
                           "no closed power of it")
 
@@ -763,11 +750,13 @@ def _p_strong_ppc(ctx):
         found = lattice_counterexample()
         if found is None:
             found = _least_singular_principal(ctx)
-            assert _is_power_of(sys, found, radical(found)) is None
+            if _is_power_of(sys, found, radical(found)) is not None:
+                raise AssertionError
         return _f(found, note="closed ideal with prime radical that is no "
                               "closed power of it")
     if ctx.eff == "t" or len(H.counting) == 1:
-        assert lattice_counterexample() is None
+        if lattice_counterexample() is not None:
+            raise AssertionError
         return _t(note="closed ideals with prime radical are powers of the "
                        "corresponding cell")
     found = lattice_counterexample()
@@ -776,7 +765,8 @@ def _p_strong_ppc(ctx):
         found = ideal_from(
             [_scaled_unit(H, i, 2),
              tuple((1 if a in (i, j) else 0) for a in range(H.dim))], H)
-        assert _is_power_of(sys, found, radical(found)) is None
+        if _is_power_of(sys, found, radical(found)) is not None:
+            raise AssertionError
     return _f(found, note="closed ideal with prime radical that is no "
                           "closed power of it")
 
@@ -940,7 +930,7 @@ def _p_radical_fg_invertible(ctx):
     invertible."""
     if not ctx.monoid.counting:
         return _t(note="no nontrivial radical closed ideals", vacuous=True)
-    for J in ctx.radical_universe():
+    for J in radical_closed_ideals(ctx.sys):
         if not is_invertible(J, ctx.sys):
             return _f(J, note="radical closed ideal that is not invertible")
     return _t(note="all radical closed ideals are invertible")
@@ -951,7 +941,7 @@ def _p_radical_fg_principal(ctx):
     """Nontrivial radical closed finitely generated ideals are principal."""
     if not ctx.monoid.counting:
         return _t(note="no nontrivial radical closed ideals", vacuous=True)
-    for J in ctx.radical_universe():
+    for J in radical_closed_ideals(ctx.sys):
         if not J.is_principal:
             return _f(J, note="radical closed ideal that is not principal")
     return _t(note="all radical closed ideals are principal")
@@ -1004,10 +994,8 @@ def _p_max_eq_height_one(ctx):
 @_prop("max_eq_t_max")
 def _p_max_eq_t_max(ctx):
     """Maximal closed primes agree with the t-maximal ones."""
-    if "tmax" not in ctx._misc:
-        ctx._misc["tmax"] = r_max(ctx.monoid, system("t", ctx.monoid))
     mx = {P.face for P in ctx.rmax()}
-    tmx = {P.face for P in ctx._misc["tmax"]}
+    tmx = {P.face for P in r_max(ctx.monoid, system("t", ctx.monoid))}
     if mx == tmx:
         return _t(note="maximal closed primes for the system are the "
                        "t-maximal ones", vacuous=not mx)
@@ -1047,10 +1035,11 @@ def _p_intersection_localizations(ctx):
         return _t(note="no height-one primes, the empty intersection is "
                        "the group itself", vacuous=True)
     if H.dim <= 3:
-        locs = [ctx.localization(P.face) for P in ctx.x1()]
+        locs = [H.localize(P.face) for P in ctx.x1()]
         for v in itertools.product(*[range(-2, 3)] * H.dim):
             if all(loc.contains(v) for loc in locs):
-                assert H.contains(v), v
+                if not H.contains(v):
+                    raise AssertionError(v)
     return _t(note="an element of every localization clears each "
                    "height-one denominator, hence lies in H")
 
@@ -1066,13 +1055,16 @@ def _p_invertibles_radical_factorial(ctx):
         inv = ctx.invertibles()
         if inv:
             for I in inv[:40]:
-                assert meager_factor(I, ctx.sys).ok, I
+                if not meager_factor(I, ctx.sys).ok:
+                    raise AssertionError(I)
         return _t(note="principal generators split along their supports "
                        "into invertible cells")
     w = _least_singular_principal(ctx)
     out = meager_factor(w, ctx.sys)
-    assert isinstance(out, Failure)
-    assert _radical_product_search(ctx, w, ctx.invertible_radicals()) is None
+    if not isinstance(out, Failure):
+        raise AssertionError
+    if _radical_product_search(ctx, w, ctx.invertible_radicals()) is not None:
+        raise AssertionError
     return _f(w, note="invertible ideal with no factorization into "
                       "invertible radical closed ideals; its radical is "
                       "not invertible")
@@ -1089,7 +1081,8 @@ def _p_invertible_radical_product(ctx):
         return _t(note="support peeling factors every principal ideal into "
                        "radical cells")
     w = _least_singular_principal(ctx)
-    assert _radical_product_search(ctx, w) is None
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="invertible ideal that is no product of radical "
                       "closed ideals; the complete bounded search is empty")
 
@@ -1105,7 +1098,8 @@ def _p_invertible_comparable_radical_product(ctx):
         return _t(note="support peeling yields a nested chain of radical "
                        "cells")
     w = _least_singular_principal(ctx)
-    assert _radical_product_search(ctx, w) is None
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="invertible ideal that is no product of radical "
                       "closed ideals, comparable or not")
 
@@ -1121,12 +1115,15 @@ def _p_radical_invertible_invertible(ctx):
         if inv:
             for I in inv[:40]:
                 R = radical(I)
-                assert ideal_eq(close(ctx.sys, R), R)
-                assert is_invertible(R, ctx.sys)
+                if not ideal_eq(close(ctx.sys, R), R):
+                    raise AssertionError
+                if not is_invertible(R, ctx.sys):
+                    raise AssertionError
         return _t(note="radicals of invertible ideals are invertible cells")
     w = _least_singular_principal(ctx)
     R = radical(w)
-    assert not is_invertible(R, ctx.sys)
+    if is_invertible(R, ctx.sys):
+        raise AssertionError
     return _f(R, note=f"radical of the invertible ideal "
                       f"{list(w.gens[0])}+H; not invertible")
 
@@ -1140,7 +1137,8 @@ def _p_principal_radical_product(ctx):
     if ctx.regular:
         return _t(note="support peeling factors every principal ideal")
     w = _least_singular_principal(ctx)
-    assert _radical_product_search(ctx, w) is None
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="principal ideal that is no product of radical "
                       "closed ideals")
 
@@ -1155,7 +1153,8 @@ def _p_principal_comparable_radical_product(ctx):
     if ctx.regular:
         return _t(note="support peeling yields a nested chain")
     w = _least_singular_principal(ctx)
-    assert _radical_product_search(ctx, w) is None
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="principal ideal that is no product of radical "
                       "closed ideals, comparable or not")
 
@@ -1172,7 +1171,8 @@ def _p_principal_comparable_radical_principal_product(ctx):
                        "characteristic-vector principals")
     out = radical_factor_principal(
         H, _scaled_unit(H, ctx.singular[0], H.coords[ctx.singular[0]].n1))
-    assert isinstance(out, Failure)
+    if not isinstance(out, Failure):
+        raise AssertionError
     return _f(out.witness, note="the radical met by the greedy peel is not "
                                 "principal")
 
@@ -1186,7 +1186,8 @@ def _p_closed_comparable_radical_product(ctx):
         return _t(note="no proper nonempty closed ideals", vacuous=True)
     if ctx.singular:
         w = _least_singular_principal(ctx)
-        assert _radical_product_search(ctx, w) is None
+        if _radical_product_search(ctx, w) is not None:
+            raise AssertionError
         return _f(w, note="closed ideal that is no product of radical "
                           "closed ideals, comparable or not")
     if ctx.eff == "t" or len(H.counting) == 1:
@@ -1196,7 +1197,8 @@ def _p_closed_comparable_radical_product(ctx):
     w = ideal_from([_scaled_unit(H, i, 3),
                     tuple((1 if a in (i, j) else 0) for a in range(H.dim))],
                    H)
-    assert _radical_product_search(ctx, w) is None
+    if _radical_product_search(ctx, w) is not None:
+        raise AssertionError
     return _f(w, note="closed ideal that is no product of radical closed "
                       "ideals, comparable or not")
 
@@ -1212,10 +1214,12 @@ def _p_meager_radical_intersections(ctx):
         inv = ctx.invertibles()
         if inv:
             for I in inv[:20]:
-                assert _meager_intersection_exists(ctx, I), I
+                if not _meager_intersection_exists(ctx, I):
+                    raise AssertionError(I)
         return _t(note="the singleton family of the support cell is meager")
     w = _least_singular_principal(ctx)
-    assert not _meager_intersection_exists(ctx, w)
+    if _meager_intersection_exists(ctx, w):
+        raise AssertionError
     return _f(radical(w), note="no meager family of invertible radical "
                                "closed ideals meets in this radical")
 
@@ -1333,8 +1337,10 @@ def _cond_powers_at_height_one(ctxs):
         if H.coords[i].atoms == (1,):
             continue
         w = principal(H, _scaled_unit(H, i, H.coords[i].n1))
-        assert ideal_eq(radical(w), P.ideal)
-        assert _is_power_of(ctx.sys, w, P.ideal) is None
+        if not ideal_eq(radical(w), P.ideal):
+            raise AssertionError
+        if _is_power_of(ctx.sys, w, P.ideal) is not None:
+            raise AssertionError
         return (FALSE, w,
                 "closed ideal with radical the height-one prime on "
                 f"coordinate {i} that is no closed power of it", False)
@@ -1579,8 +1585,8 @@ def suite_battery(H: MonoidModel, radius: int = 8, names=None) -> dict:
     """Run several suites over shared property contexts.
 
     Returns {suite name: TfaeReport} in the order given (all suites when
-    names is None).  Sharing one context map keeps repeated lattice and
-    localization work across suites to a single evaluation.
+    names is None).  Contexts keep their verdicts and views in the model's
+    memo, so lattice and localization work runs once across suites.
     """
     names = tuple(SUITES) if names is None else tuple(names)
     ctxs = _CtxMap(H, radius)

@@ -225,12 +225,17 @@ _WORKERS = {
 
 
 def _run_models(models, worker, args) -> list:
-    """Run the worker per model, concurrently, results in input order."""
+    """Run the worker per model, concurrently, results in input order.
+
+    A model's derived data is dropped as soon as its report is built.
+    """
 
     def timed(H):
         t0 = time.perf_counter()
         doc, flags = worker(H, args)
-        return doc, flags, time.perf_counter() - t0
+        dt = time.perf_counter() - t0
+        H.memo.clear()
+        return doc, flags, dt
 
     if args.jobs <= 1 or len(models) <= 1:
         results = [timed(H) for H in models]

@@ -88,10 +88,17 @@ _GROUP = Coordinate("group", (), 0, -1, 1, b"", ())
 
 
 class MonoidModel:
-    """Immutable monoid description; all caches are filled on first use.
+    """Immutable monoid description.
 
     Identity semantics: two models are distinct objects even if isomorphic,
     and ideals are tied to their model by reference.
+
+    Everything derived from the model lives in the plain dict ``memo``, or
+    is reached only through it: its ideal systems (each with its closure
+    cache), its spectrum, its localizations, membership of affine vectors
+    and the verdicts memoised on it.  The memo dies with the model, and
+    ``memo.clear()`` drops it early.  Only the coordinate data itself
+    (``counting``, ``counting_mask``, ``pack``) is cached as attributes.
     """
 
     def __init__(self, name, coords=(), affine_gens=None):
@@ -117,7 +124,7 @@ class MonoidModel:
             self._dim = len(self.coords)
         if self._dim > MAX_DIM:
             raise ValueError(f"at most {MAX_DIM} coordinates supported")
-        self._affine_memo = {} if self.affine_gens is not None else None
+        self.memo = {}
 
     def __repr__(self):
         return f"MonoidModel({self.name!r})"
@@ -169,22 +176,37 @@ class MonoidModel:
     def _affine_contains(self, g) -> bool:
         if any(x < 0 for x in g):
             return False
-        memo = self._affine_memo
-        seen = memo.get(g)
-        if seen is not None:
-            return seen
-        # Exact: generators are nonnegative and nonzero, so the subtraction
-        # depth is bounded by the coordinate sum.
-        if all(x == 0 for x in g):
-            return True
-        ok = False
-        for a in self.affine_gens:
-            rest = tuple(x - y for x, y in zip(g, a))
-            if all(x >= 0 for x in rest) and self._affine_contains(rest):
-                ok = True
-                break
-        memo[g] = ok
-        return ok
+        # Exact: generators are nonnegative and nonzero, so every chain of
+        # subtractions ends at 0 or leaves the orthant.  The depth of that
+        # search is the coordinate sum, hence an explicit stack: a vector
+        # is decided once every nonnegative remainder before its first
+        # member remainder is decided.
+        memo = self.memo.setdefault("affine", {})
+        memo[(0,) * self._dim] = True
+        stack = [g]
+        while stack:
+            v = stack[-1]
+            if v in memo:
+                stack.pop()
+                continue
+            ok, undecided = False, None
+            for a in self.affine_gens:
+                rest = tuple(x - y for x, y in zip(v, a))
+                if any(x < 0 for x in rest):
+                    continue
+                seen = memo.get(rest)
+                if seen is None:
+                    undecided = rest
+                    break
+                if seen:
+                    ok = True
+                    break
+            if undecided is not None:
+                stack.append(undecided)
+                continue
+            memo[v] = ok
+            stack.pop()
+        return memo[g]
 
     def divides(self, a, b) -> bool:
         a, b = tuple(a), tuple(b)
@@ -216,9 +238,14 @@ class MonoidModel:
         """Model of H_P: coordinates in the face of P become groups.
 
         ``P`` is a prime (anything with a ``face`` attribute) or a bare
-        collection of coordinate indices.
+        collection of coordinate indices.  Memoised per face, so every
+        caller shares one localized model (and whatever its own memo holds).
         """
         face = frozenset(getattr(P, "face", P))
+        key = ("localize", face)
+        got = self.memo.get(key)
+        if got is not None:
+            return got
         if not self.certified:
             raise ValueError("localization needs a certified product model")
         if not face <= set(range(self._dim)):
@@ -228,8 +255,10 @@ class MonoidModel:
         coords = tuple(
             _GROUP if (i in face and c.kind != "group") else c
             for i, c in enumerate(self.coords))
-        return MonoidModel(f"{self.name}_loc{''.join(str(i) for i in sorted(face))}",
-                           coords)
+        loc = MonoidModel(f"{self.name}_loc{''.join(str(i) for i in sorted(face))}",
+                          coords)
+        self.memo[key] = loc
+        return loc
 
 
 def parse_monoid(text: str) -> MonoidModel:

@@ -59,9 +59,9 @@ _PRIMALITY_RADIUS = 3
 def primes(H: MonoidModel) -> Spectrum:
     """All prime s-ideals, heights by chain search in the finite poset."""
     _check_certified(H)
-    cached = getattr(H, "_spectrum", None)
-    if cached is not None:
-        return cached
+    got = H.memo.get("spectrum")
+    if got is not None:
+        return got
     faces = proper_faces(H)
     ideals = {face: Ideal(H, _prime_gens(H, face)) for face in faces}
     box = H.enumerate(_PRIMALITY_RADIUS)
@@ -77,8 +77,8 @@ def primes(H: MonoidModel) -> Spectrum:
     ordered = tuple(
         PrimeIdeal(H, face, ideals[face], heights[face])
         for face in sorted(faces, key=lambda f: (heights[f], tuple(sorted(f)))))
-    H._spectrum = Spectrum(H, ordered)
-    return H._spectrum
+    spec = H.memo["spectrum"] = Spectrum(H, ordered)
+    return spec
 
 
 def height_one(H: MonoidModel):
@@ -121,9 +121,18 @@ def is_dvm(H: MonoidModel, radius: int = 4) -> str:
 
     True needs: unique maximal ideal of height one, principal; the box
     cross-check then confirms every ideal with generators in the box is
-    principal.
+    principal.  The sweep is quadratic in the box, so the verdict is
+    memoised on H per radius.
     """
     _check_certified(H)
+    key = ("dvm", radius)
+    got = H.memo.get(key)
+    if got is None:
+        got = H.memo[key] = _dvm_verdict(H, radius)
+    return got
+
+
+def _dvm_verdict(H: MonoidModel, radius: int) -> str:
     if H.is_group:
         return "not-applicable"
     M = primes(H).by_face(frozenset())

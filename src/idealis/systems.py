@@ -14,7 +14,6 @@ modularization never needs more than the face data of its right operand.
 """
 
 import random
-import weakref
 from dataclasses import dataclass, field
 from operator import add
 
@@ -30,6 +29,8 @@ class System:
     kind: str                     # "s" | "t" | "v" | "mod"
     parts: tuple = ()             # (p, r) when kind == "mod"
     label: str = ""
+    # This system's memo: closures keyed by generator tuple, plus derived
+    # views under string-headed keys.  Reached through its model's memo.
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __repr__(self):
@@ -40,17 +41,6 @@ class System:
         if self.kind == "mod":
             return ("mod", self.parts[0].key, self.parts[1].key)
         return (self.kind,)
-
-
-_by_monoid = weakref.WeakKeyDictionary()
-
-
-def _registry(H: MonoidModel) -> dict:
-    reg = _by_monoid.get(H)
-    if reg is None:
-        reg = {}
-        _by_monoid[H] = reg
-    return reg
 
 
 def _split_args(body: str):
@@ -66,10 +56,13 @@ def _split_args(body: str):
 
 
 def system(token: str, H: MonoidModel) -> System:
-    """Resolve a system selector: s | t | v | w | w_p:<p> | mod(<p>,<r>)."""
+    """Resolve a system selector: s | t | v | w | w_p:<p> | mod(<p>,<r>).
+
+    Systems are registered in the model's memo, one per token.
+    """
     token = token.strip()
-    reg = _registry(H)
-    got = reg.get(token)
+    key = ("system", token)
+    got = H.memo.get(key)
     if got is not None:
         return got
     if token in ("s", "t", "v"):
@@ -86,7 +79,7 @@ def system(token: str, H: MonoidModel) -> System:
         _check_leq_pre(sys)
     else:
         raise ValueError(f"unknown ideal system {token!r}")
-    reg[token] = sys
+    H.memo[key] = sys
     return sys
 
 
@@ -345,9 +338,6 @@ def modular_law_violation(sys: System, I: Ideal, J: Ideal, N: Ideal):
     return None
 
 
-_LATTICE_TOO_BIG = object()
-
-
 def closed_ideals(sys: System, radius: int, cap: int = 20000,
                   max_ground: int = 400) -> tuple:
     """Every sys-closed ideal whose canonical generators lie in the radius
@@ -358,20 +348,26 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     the box is recovered from its box trace, so the family is exhaustive.
     Closed sets whose ideal needs a generator outside the box are dropped.
     Raises BudgetExceeded past cap ideals or max_ground box vectors; the
-    verdict machinery falls back to structural arguments then.
+    verdict machinery falls back to structural arguments then.  The result,
+    or the BudgetExceeded, is memoised per (radius, cap, max_ground).
     """
-    key = ("lattice", radius)
+    key = ("lattice", radius, cap, max_ground)
     got = sys._cache.get(key)
-    if got is _LATTICE_TOO_BIG:
-        raise K.BudgetExceeded(f"{sys.label}-lattice at radius {radius}")
-    if got is not None:
-        return got
+    if got is None:
+        got = sys._cache[key] = _lattice(sys, radius, cap, max_ground)
+    if isinstance(got, K.BudgetExceeded):
+        # a fresh copy, so the memo holds no traceback and no frames
+        raise K.BudgetExceeded(*got.args)
+    return got
+
+
+def _lattice(sys: System, radius: int, cap: int, max_ground: int):
+    """closed_ideals' enumeration; a tripped budget is returned."""
     H = sys.monoid
     ground = list(H.enumerate(radius))
     n = len(ground)
     if n > max_ground:
-        sys._cache[key] = _LATTICE_TOO_BIG
-        raise K.BudgetExceeded(
+        return K.BudgetExceeded(
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
     pack = H.pack
     box = set(ground)
@@ -390,8 +386,7 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
         if not ideal_A.is_empty and all(g in box for g in ideal_A.gens):
             out.append(ideal_A)
             if len(out) > cap:
-                sys._cache[key] = _LATTICE_TOO_BIG
-                raise K.BudgetExceeded(
+                return K.BudgetExceeded(
                     f"{sys.label}-lattice at radius {radius} exceeds {cap}")
         nxt = None
         for i in range(n - 1, -1, -1):
@@ -404,6 +399,4 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
         if nxt is None:
             break
         A, ideal_A = nxt
-    result = tuple(sorted(out, key=lambda I: I.gens))
-    sys._cache[key] = result
-    return result
+    return tuple(sorted(out, key=lambda I: I.gens))

@@ -1,10 +1,14 @@
 """Property verdicts, frozen witnesses, and equivalence-suite agreement."""
 
+import gc
+import weakref
+
 import pytest
 
 from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, classify, evaluate,
                               property_names, suite_battery, suite_names,
                               tfae_suite)
+from idealis.monoid import free_monoid
 from idealis.spectrum import UncertifiedModel
 
 ALL_TRUE = {"n1", "n2", "n3", "nxz", "z1", "z2"}
@@ -213,3 +217,13 @@ def test_classify_shape(nxz, affine1):
 def test_uncertified_suites_raise(affine1):
     with pytest.raises(UncertifiedModel):
         tfae_suite(affine1, "Thm4.2")
+
+
+def test_model_is_freed_after_classify():
+    # everything classify derives hangs off the model's memo, nothing global
+    H = free_monoid("n2", 2)
+    classify(H)
+    ref = weakref.ref(H)
+    del H
+    gc.collect()
+    assert ref() is None

@@ -117,6 +117,12 @@ def test_affine_membership(affine1):
     assert affine1.enumerate(2) == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)]
 
 
+def test_affine_membership_deep_chains(affine1):
+    # the subtraction search is as deep as the coordinate sum
+    assert affine1.contains((3001, 1))
+    assert not affine1.contains((3001, 0))
+
+
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3))
 def test_affine_combinations_are_members(ks):
     H = MonoidModel("aff", affine_gens=[(2, 0), (1, 1), (0, 2)])

@@ -8,6 +8,7 @@ import pytest
 import bruteforce as bf
 from idealis import _kernel as K
 from idealis.ideals import ideal_eq, ideal_from, ideal_subset
+from idealis.monoid import free_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
                              modular_close, modular_law_violation,
@@ -161,6 +162,18 @@ def test_closed_ideals_budget(n3):
         closed_ideals(system("t", n3), 8, max_ground=100)
     with pytest.raises(K.BudgetExceeded):
         closed_ideals(system("t", n3), 4, cap=3)
+
+
+def test_closed_ideals_budget_is_keyed_by_its_arguments():
+    # the answer must not depend on which budget was asked for first
+    capped_first = system("t", free_monoid("n2", 2))
+    with pytest.raises(K.BudgetExceeded):
+        closed_ideals(capped_first, 3, cap=3)
+    assert len(closed_ideals(capped_first, 3)) == 16
+    uncapped_first = system("t", free_monoid("n2", 2))
+    assert len(closed_ideals(uncapped_first, 3)) == 16
+    with pytest.raises(K.BudgetExceeded):
+        closed_ideals(uncapped_first, 3, cap=3)
 
 
 def test_closed_ideals_sorted_and_closed(n2):
