@@ -371,17 +371,31 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
     pack = H.pack
     box = set(ground)
+    # Traces are int bitmasks over ground: bit j stands for ground[j].
+    # The trace of a closed ideal is the union of its generators' up-sets.
+    upsets = {}
 
-    def trace(idx):
-        gens = tuple(ground[i] for i in sorted(idx))
+    def upset(g):
+        got = upsets.get(g)
+        if got is None:
+            got = upsets[g] = sum(1 << j for j, v in enumerate(ground)
+                                  if K.divides(pack, g, v))
+        return got
+
+    def trace(mask):
+        gens = []
+        while mask:
+            low = mask & -mask
+            gens.append(ground[low.bit_length() - 1])
+            mask ^= low
         I = close(sys, _trusted_ideal(gens, H))
-        bits = frozenset(
-            j for j, v in enumerate(ground)
-            if K.divisible_any(pack, v, I.gens))
+        bits = 0
+        for g in I.gens:
+            bits |= upset(g)
         return bits, I
 
     out = []
-    A, ideal_A = trace(frozenset())
+    A, ideal_A = trace(0)
     while True:
         if not ideal_A.is_empty and all(g in box for g in ideal_A.gens):
             out.append(ideal_A)
@@ -390,10 +404,12 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
                     f"{sys.label}-lattice at radius {radius} exceeds {cap}")
         nxt = None
         for i in range(n - 1, -1, -1):
-            if i in A:
+            if A >> i & 1:
                 continue
-            B, ideal_B = trace(frozenset(j for j in A if j < i) | {i})
-            if all(b in A for b in B if b < i):
+            below = (1 << i) - 1
+            B, ideal_B = trace((A & below) | 1 << i)
+            # lectic test: B adds nothing below i
+            if not B & ~A & below:
                 nxt = (B, ideal_B)
                 break
         if nxt is None:

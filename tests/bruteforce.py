@@ -285,3 +285,34 @@ def member_points(H, gens, window: int) -> set:
     lo, hi = _margins(H, gens, window)
     grid = Grid(H, lo, hi)
     return grid.window_points(grid.ideal(gens), 0, window)
+
+
+def pairs_comparable(H, radius: int) -> bool:
+    """Every pair a, b of H.enumerate(radius) has a | b or b | a.
+
+    In a cancellative monoid that is principality of <a, b>: a generator c
+    of <a, b> lies in a + H, say, and a in c + H, so c and a differ by a
+    unit and a divides b.  The sweep runs over the whole box, group
+    coordinates included, and reads "b - a in H" off the grid.
+    """
+    box = np.array([[v[i] for i in H.counting] for v in H.enumerate(radius)],
+                   dtype=np.int64)
+    if box.shape[1] == 0:
+        return True
+    grid = Grid(H, -radius, radius)
+    diff = box[None, :, :] - box[:, None, :] - grid.lo  # [a, b] -> b - a
+    divides = grid.member[tuple(np.moveaxis(diff, -1, 0))]
+    return bool(np.all(divides | divides.T))
+
+
+def dvm_verdict(H, radius: int) -> str:
+    """is_dvm's answer from the pair sweep alone.
+
+    A product of lines other than N x Z^m has two incomparable members in
+    the box once the radius reaches 1 (two counting coordinates) or the
+    second atom of its one numerical coordinate (the two least atoms
+    differ by a gap), so past that radius the sweep alone decides.
+    """
+    if not H.counting:
+        return "not-applicable"
+    return "true" if pairs_comparable(H, radius) else "false"

@@ -1,6 +1,7 @@
 """Property verdicts, frozen witnesses, and equivalence-suite agreement."""
 
 import gc
+import time
 import weakref
 
 import pytest
@@ -227,3 +228,16 @@ def test_model_is_freed_after_classify():
     del H
     gc.collect()
     assert ref() is None
+
+
+def test_free4_classify_within_budget():
+    # c05's per-model bound, on a model above the corpus' dimension 3
+    t0 = time.perf_counter()
+    doc = classify(free_monoid("free4", 4), radius=8)
+    took = time.perf_counter() - t0
+    assert took < 60.0, f"free4 took {took:.1f}s"
+    for name, rep in doc["suites"].items():
+        assert rep["agreement"], name
+        verdicts = {c["verdict"] for c in rep["conditions"]
+                    if not c.get("vacuous")}
+        assert verdicts <= {"true"}, name

@@ -5,10 +5,10 @@ import pytest
 import bruteforce as bf
 from idealis.ideals import ideal_from, ideal_subset
 from idealis.monoid import free_monoid, group_monoid, localize, numerical_monoid
-from idealis.spectrum import (UncertifiedModel, height_one, is_dvm,
-                              minimal_primes_over, primes, r_max,
+from idealis.spectrum import (UncertifiedModel, _pairs_principal, height_one,
+                              is_dvm, minimal_primes_over, primes, r_max,
                               spectrum_json)
-from idealis.systems import system
+from idealis.systems import proper_faces, system
 
 
 def faces(ps):
@@ -85,6 +85,20 @@ def test_localizations_at_height_one_are_dvms(n2):
     # both localizations of N^2 at height-one primes are discrete valuation
     for P in height_one(n2):
         assert is_dvm(localize(n2, P)) == "true"
+
+
+# reaches the second atom of every numerical coordinate in the named corpus
+_SWEEP_RADIUS = 5
+
+
+def test_is_dvm_matches_pair_sweep_oracle(certified):
+    """The projected principality sweep asks what the full box sweep asks."""
+    for H in certified.values():
+        for L in [H] + [localize(H, face) for face in proper_faces(H)]:
+            assert (_pairs_principal(L, _SWEEP_RADIUS)
+                    == bf.pairs_comparable(L, _SWEEP_RADIUS)), L.name
+            assert (is_dvm(L, _SWEEP_RADIUS)
+                    == bf.dvm_verdict(L, _SWEEP_RADIUS)), L.name
 
 
 def test_uncertified_raises(affine1):

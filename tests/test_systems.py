@@ -8,7 +8,7 @@ import pytest
 import bruteforce as bf
 from idealis import _kernel as K
 from idealis.ideals import ideal_eq, ideal_from, ideal_subset
-from idealis.monoid import free_monoid
+from idealis.monoid import MonoidModel, free_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
                              modular_close, modular_law_violation,
@@ -155,6 +155,26 @@ def test_closed_ideals_exhaustive_1d(gap23):
                 want.add(X.gens)
     want.add(((0,),))  # H itself is closed under every system
     assert got == want
+
+
+@pytest.mark.parametrize("name", ["n2", "g23xn"])
+@pytest.mark.parametrize("radius", [2, 3])
+@pytest.mark.parametrize("label", ["t", "w"])
+def test_closed_ideals_exhaustive_2d(named, name, radius, label):
+    """Close every subset of a 2-d box; the closures generated inside the
+    box are exactly the enumerated family."""
+    H = MonoidModel(name, named[name].coords)  # fresh memo
+    sys = system(label, H)
+    box = H.enumerate(radius)
+    generated = {ideal_from(sub, H)
+                 for r in range(1, len(box) + 1)
+                 for sub in itertools.combinations(box, r)}
+    want = set()
+    for X in generated:
+        Y = close(sys, X)
+        if all(g in box for g in Y.gens):
+            want.add(Y.gens)
+    assert [I.gens for I in closed_ideals(sys, radius)] == sorted(want)
 
 
 def test_closed_ideals_budget(n3):
