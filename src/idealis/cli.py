@@ -11,10 +11,12 @@ certified; usage, parse, and I/O problems exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
+import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, corpus as corpus_mod, report as report_mod
@@ -45,14 +47,20 @@ def _default_radius() -> int:
     return radius
 
 
-def _radius_arg(text: str) -> int:
-    try:
-        radius = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if radius < 1:
-        raise argparse.ArgumentTypeError("radius must be at least 1")
-    return radius
+def _at_least_one(what: str):
+    """argparse type for an integer option that must be at least 1."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1")
+        return value
+
+    return parse
 
 
 def parse_element(text: str) -> tuple:
@@ -89,16 +97,19 @@ def _collect_specs(inputs) -> list:
     return paths
 
 
-def _load_models(paths) -> list:
-    models = []
+def _load_specs(paths) -> list:
+    """(model name, spec text) per path; every spec is parsed here once, so
+    a bad input fails the run before any model is analyzed."""
+    specs = []
     for path in paths:
         try:
-            models.append(parse_monoid(path.read_text()))
+            text = path.read_text()
+            specs.append((parse_monoid(text).name, text))
         except OSError as exc:
             raise CliError(f"{path}: {exc.strerror or exc}") from None
         except ValueError as exc:
             raise CliError(f"{path}: {exc}") from None
-    return models
+    return specs
 
 
 def _check_element_dim(gens, H: MonoidModel) -> None:
@@ -224,27 +235,49 @@ _WORKERS = {
 }
 
 
-def _run_models(models, worker, args) -> list:
-    """Run the worker per model, concurrently, results in input order.
+def _task(worker, args, text: str) -> tuple:
+    """Parse one spec and run the worker on it: (doc, flags, seconds).
 
-    A model's derived data is dropped as soon as its report is built.
+    The time covers the worker only.  The model's derived data is dropped
+    as soon as its report is built.
     """
+    H = parse_monoid(text)
+    t0 = time.perf_counter()
+    doc, flags = worker(H, args)
+    dt = time.perf_counter() - t0
+    H.memo.clear()
+    return doc, flags, dt
 
-    def timed(H):
-        t0 = time.perf_counter()
-        doc, flags = worker(H, args)
-        dt = time.perf_counter() - t0
-        H.memo.clear()
-        return doc, flags, dt
 
-    if args.jobs <= 1 or len(models) <= 1:
-        results = [timed(H) for H in models]
+def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
+    """Worker processes for a batch: never more than the tasks or the CPUs."""
+    return min(jobs, tasks, cpus)
+
+
+def _run_models(specs, worker, args) -> list:
+    """Run the worker on each (name, spec text), results in input order.
+
+    Models are independent, so with more than one worker they run in
+    worker processes; the worker function and everything it returns must
+    pickle.  A single worker runs the same task in-process.
+    """
+    task = functools.partial(_task, worker, args)
+    texts = [text for _, text in specs]
+    workers = _worker_count(args.jobs, len(texts), os.cpu_count() or 1)
+    if workers <= 1:
+        results = [task(text) for text in texts]
     else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(timed, H) for H in models]
-            results = [f.result() for f in futures]
-    for H, (_, _, dt) in zip(models, results):
-        print(f"{H.name}: {dt:.2f}s", file=sys.stderr)
+        # fork, not spawn.  The pool forks all its workers before it starts
+        # a thread, and the CLI runs none, so no lock is copied mid-update;
+        # and a worker needs no fresh interpreter or import.  spawn starts
+        # each process with vfork and exec: a SIGSTOP to the process group
+        # between the two leaves the CLI in uninterruptible sleep on a
+        # stopped child, and a caller waiting for the group to stop hangs.
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(task, texts))
+    for (name, _), (_, _, dt) in zip(specs, results):
+        print(f"{name}: {dt:.2f}s", file=sys.stderr)
     return [(doc, flags) for doc, flags, _ in results]
 
 
@@ -413,14 +446,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--radius", type=_radius_arg, default=None,
+    common.add_argument("--radius", type=_at_least_one("radius"), default=None,
                         help="enumeration radius (default 8, or IDEALIS_RADIUS)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (recorded in reports)")
     common.add_argument("--strict", action="store_true",
                         help="uncertified inputs fail the run")
-    common.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="concurrent monoid tasks")
+    common.add_argument("--jobs", type=_at_least_one("jobs"),
+                        default=min(4, os.cpu_count() or 1),
+                        help="worker processes (default min(4, CPUs))")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const",
                      const="json", help="canonical JSON report")
@@ -483,10 +517,10 @@ def run(argv=None) -> int:
         sys.stdout.write(_render("corpus", args, reports))
         return 1 if (args.strict and any_uncertified) else 0
 
-    models = _load_models(_collect_specs(args.inputs))
+    specs = _load_specs(_collect_specs(args.inputs))
     worker = _WORKERS[args.command]
     with report_mod.stopwatch("total"):
-        outcomes = _run_models(models, worker, args)
+        outcomes = _run_models(specs, worker, args)
     reports = [doc for doc, _ in outcomes]
     sys.stdout.write(_render(args.command, args, reports))
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point in a subprocess."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import idealis
-from idealis import corpus
+from idealis import cli, corpus
 from idealis.monoid import to_text
 
 SRC = str(Path(idealis.__file__).resolve().parent.parent)
@@ -152,12 +153,77 @@ def test_uncertified_is_reported_not_fatal(specs):
     (("closure", "SPEC", "--element", "2", "--system", "q"), "unknown ideal system"),
     (("closure", "SPEC", "--element", "x"), "element"),
     (("analyze", "SPEC", "--radius", "0"), "radius"),
+    (("analyze", "SPEC", "--jobs", "0"), "jobs must be at least 1"),
 ])
 def test_usage_errors_exit_two(specs, args, fragment):
     args = [str(specs / "gap23.spec") if a == "SPEC" else a for a in args]
     r = run_cli(*args)
     assert r.returncode == 2
     assert fragment in r.stderr
+
+
+def test_jobs_never_change_bytes(specs):
+    paths = [str(specs / f"{name}.spec") for name in ("gap23", "nxz", "n2")]
+    for fmt in ("--json", None):
+        runs = [run_cli("analyze", *paths, "--radius", "5", "--jobs", jobs,
+                        *([fmt] if fmt else []))
+                for jobs in ("1", "2")]
+        assert runs[0].returncode == runs[1].returncode
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout
+        for r in runs:
+            timed = [line.split(":")[0] for line in r.stderr.splitlines()
+                     if line.endswith("s") and not line.startswith("total:")]
+            assert timed == ["gap23", "nxz", "n2"]
+
+
+def test_worker_count_is_bounded():
+    assert cli._worker_count(100000, 593, 2) == 2
+    assert cli._worker_count(100000, 1, 64) == 1
+    assert cli._worker_count(1, 593, 64) == 1
+    assert cli._worker_count(3, 593, 64) == 3
+
+
+def _named_specs(*names):
+    models = {e.name: e.model for e in corpus.members("named")}
+    return [(name, to_text(models[name])) for name in names]
+
+
+def _pid_worker(H, args):
+    return {"monoid": H.name, "pid": os.getpid()}, {}
+
+
+FAILING_BATCH = """
+import argparse, sys
+from idealis import cli, corpus
+from idealis.monoid import to_text
+
+def fail_on_nxz(H, args):
+    if H.name == "nxz":
+        raise ValueError(H.name + ": deliberate failure")
+    return {"monoid": H.name}, {}
+
+models = {e.name: e.model for e in corpus.members("named")}
+specs = [(n, to_text(models[n])) for n in ("gap23", "nxz", "n2")]
+try:
+    cli._run_models(specs, fail_on_nxz,
+                    argparse.Namespace(jobs=int(sys.argv[1])))
+except Exception as exc:
+    print(type(exc).__module__, type(exc).__qualname__, exc)
+"""
+
+
+def test_worker_failure_propagates():
+    """A worker's exception reaches the caller unchanged at every --jobs,
+    and the batch ends rather than hanging or breaking the pool."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    for jobs in ("1", "2"):
+        r = subprocess.run([sys.executable, "-c", FAILING_BATCH, jobs],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "builtins ValueError nxz: deliberate failure\n"
 
 
 def test_parse_errors_name_the_file(tmp_path):
