@@ -267,12 +267,11 @@ def _run_models(specs, worker, args) -> list:
     if workers <= 1:
         results = [task(text) for text in texts]
     else:
-        # fork, not spawn.  The pool forks all its workers before it starts
-        # a thread, and the CLI runs none, so no lock is copied mid-update;
-        # and a worker needs no fresh interpreter or import.  spawn starts
-        # each process with vfork and exec: a SIGSTOP to the process group
-        # between the two leaves the CLI in uninterruptible sleep on a
-        # stopped child, and a caller waiting for the group to stop hangs.
+        # fork, not spawn: the pool forks every worker before it starts a
+        # thread and the CLI runs none, so no lock is copied mid-update, and
+        # no worker re-imports the package.  spawn's vfork-then-exec lets a
+        # SIGSTOP to the process group stop a child before its exec, which
+        # leaves the CLI in uninterruptible sleep and the group never stopped.
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(task, texts))

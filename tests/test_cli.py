@@ -1,4 +1,5 @@
-"""End-to-end runs of the console entry point in a subprocess."""
+"""End-to-end runs of the console entry point in a subprocess, and of
+its batch runner."""
 
 import argparse
 import json
@@ -163,7 +164,10 @@ def test_usage_errors_exit_two(specs, args, fragment):
 
 
 def test_jobs_never_change_bytes(specs):
-    paths = [str(specs / f"{name}.spec") for name in ("gap23", "nxz", "n2")]
+    # n2 is the slowest of the three, so with two workers the reports
+    # finish out of input order.
+    order = ["n2", "gap23", "nxz"]
+    paths = [str(specs / f"{name}.spec") for name in order]
     for fmt in ("--json", None):
         runs = [run_cli("analyze", *paths, "--radius", "5", "--jobs", jobs,
                         *([fmt] if fmt else []))
@@ -174,7 +178,7 @@ def test_jobs_never_change_bytes(specs):
         for r in runs:
             timed = [line.split(":")[0] for line in r.stderr.splitlines()
                      if line.endswith("s") and not line.startswith("total:")]
-            assert timed == ["gap23", "nxz", "n2"]
+            assert timed == order
 
 
 def test_worker_count_is_bounded():
@@ -191,6 +195,15 @@ def _named_specs(*names):
 
 def _pid_worker(H, args):
     return {"monoid": H.name, "pid": os.getpid()}, {}
+
+
+def test_one_model_or_one_worker_runs_in_process():
+    for specs, jobs in ((_named_specs("gap23"), 100000),
+                        (_named_specs("gap23", "nxz", "n2"), 1)):
+        outcomes = cli._run_models(specs, _pid_worker,
+                                   argparse.Namespace(jobs=jobs))
+        assert [doc["monoid"] for doc, _ in outcomes] == [n for n, _ in specs]
+        assert {doc["pid"] for doc, _ in outcomes} == {os.getpid()}
 
 
 FAILING_BATCH = """
