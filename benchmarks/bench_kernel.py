@@ -24,6 +24,7 @@ from idealis.monoid import free_monoid, numerical_monoid, product
 def workloads():
     gap23 = numerical_monoid("gap23", (2, 3))
     wide = numerical_monoid("wide", (16, 17, 19, 21, 23, 25, 27, 29, 31))
+    f13 = numerical_monoid("f13", (8, 9, 10, 11, 14, 15))
     n2 = free_monoid("n2", 2)
     g23xn = product("g23xn", numerical_monoid("a", (2, 3)),
                     free_monoid("b", 1))
@@ -33,6 +34,13 @@ def workloads():
     def add(label, pack, fn_name, *args):
         out.append((label, pack, fn_name, args))
 
+    # The sampled axiom sweep's hottest calls: one numerical coordinate
+    # with Frobenius number 13, as in the frobenius15 family.
+    add("divisible_any 1-d", f13.pack, "divisible_any", (16,),
+        ((9,), (12,), (13,)))
+    add("reduce_gens 1-d", f13.pack, "reduce_gens",
+        ((30,), (8,), (21,), (17,), (9,), (12,), (13,), (40,), (12,)))
+    add("module_gens_1d", f13.pack, "module_gens_1d", 0, (-8, -11, -17))
     add("v_close 1-d", gap23.pack, "v_close_gens", ((4,), (5,), (7,)))
     add("v_close wide gaps", wide.pack, "v_close_gens",
         ((16,), (21,), (29,), (47,)))

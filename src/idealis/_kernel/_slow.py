@@ -56,11 +56,11 @@ def contains(pack, v):
 def divides(pack, a, b):
     """Does ``a`` divide ``b``, i.e. is ``b - a`` a member?"""
     kinds, conds, _, _, tables, _ = pack
-    for i in range(len(a)):
+    for i, y in enumerate(a):
         # member1, inlined: this is the kernel's innermost loop.
         if kinds[i]:
             continue
-        x = b[i] - a[i]
+        x = b[i] - y
         if x < 0 or (x < conds[i] and tables[i][x] != 1):
             return False
     return True
@@ -69,11 +69,21 @@ def divides(pack, a, b):
 def divisible_any(pack, v, gens):
     """Is ``v`` in the module generated by ``gens``?"""
     kinds, conds, _, _, tables, _ = pack
+    if len(kinds) == 1 and not kinds[0]:
+        # One counting coordinate: v - g must be a member.
+        y = v[0]
+        cond = conds[0]
+        table = tables[0]
+        for (a,) in gens:
+            x = y - a
+            if x >= cond or (x >= 0 and table[x] == 1):
+                return True
+        return False
     for g in gens:
-        for i in range(len(g)):
+        for i, y in enumerate(g):
             if kinds[i]:
                 continue
-            x = v[i] - g[i]
+            x = v[i] - y
             if x < 0 or (x < conds[i] and tables[i][x] != 1):
                 break
         else:
@@ -87,9 +97,37 @@ def reduce_gens(pack, gens):
     Assumes group coordinates are zeroed in every generator, so a kept
     generator can never be dominated by a later candidate.
     """
+    kinds, conds, _, _, tables, _ = pack
+    if len(kinds) == 1 and not kinds[0]:
+        # One counting coordinate: candidates come in increasing order, so
+        # c is dominated iff c - m is a member for a kept m < c, and every
+        # c at or past the least kept m plus the conductor is.
+        cond = conds[0]
+        table = tables[0]
+        out = []
+        for g in sorted(set(gens)):
+            c = g[0]
+            if out and c - out[0][0] >= cond:
+                break
+            for (m,) in out:
+                if table[c - m] == 1:
+                    break
+            else:
+                out.append(g)
+        return tuple(out)
     out = []
     for g in sorted(set(gens)):
-        if not divisible_any(pack, g, out):
+        for h in out:
+            # divisible_any's loop for one kept h, inlined
+            for i, y in enumerate(h):
+                if kinds[i]:
+                    continue
+                x = g[i] - y
+                if x < 0 or (x < conds[i] and tables[i][x] != 1):
+                    break
+            else:
+                break  # h divides g
+        else:
             out.append(g)
     return tuple(out)
 
@@ -105,40 +143,41 @@ def module_gens_1d(pack, i, shifts):
     """
     if pack[0][i]:
         return (0,)
-    # member1 on the i-th coordinate, inlined: x is a member iff x >= 0
-    # and either x >= cond or the table marks it.
-    cond = pack[1][i]
-    table = pack[4][i]
     lo = -min(shifts)
-    z = lo
-    while True:
-        for s in shifts:
-            x = z + s
-            if x < 0 or (x < cond and table[x] != 1):
-                break
-        else:
-            break
-        z += 1
-    out = [z]
+    cond = pack[1][i]
+    if not cond:
+        # every z >= lo qualifies, and lo divides all of them
+        return (lo,)
+    # Bitmasks over u = z - lo in [0, width): bit x of ``member`` says x
+    # is a member (the table below the conductor, ones from it on), so
+    # z + s = u + (s + lo) is a member for every s exactly on the bits of
+    # the AND of the shifted masks; a shift with s + lo >= cond sets them
+    # all.  The least member m sits at or below u = cond, and every
+    # generator in [m, m + frobs[i]].
     f = pack[2][i]
-    for c in range(z + 1, z + f + 1):
-        ok = True
-        for s in shifts:
-            x = c + s
-            if x < 0 or (x < cond and table[x] != 1):
-                ok = False
-                break
-        if not ok:
-            continue
-        red = False
-        for g in out:
-            x = c - g
-            if x >= 0 and (x >= cond or table[x] == 1):
-                red = True
-                break
-        if not red:
-            out.append(c)
+    width = cond + f + 1
+    member = (int(pack[4][i][::-1].translate(_BINARY), 2)
+              | ((1 << (width + cond)) - (1 << cond)))
+    module = (1 << width) - 1
+    for s in shifts:
+        s += lo
+        if s < cond:
+            module &= member >> s
+    u = (module & -module).bit_length() - 1
+    # Members of the Frobenius window in increasing order; each generator
+    # strikes out everything it divides.
+    rest = module >> u & ((1 << (f + 1)) - 1)
+    base = lo + u
+    out = []
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        out.append(base + x)
+        rest &= ~(member << x)
     return tuple(out)
+
+
+# Reads a membership table, reversed, as a binary numeral: bit x = table[x].
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def inverse_gens(pack, gens):

@@ -15,7 +15,7 @@ from . import _kernel as K
 from .monoid import MAX_COORD, MonoidModel
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Ideal:
     monoid: MonoidModel
     gens: tuple
@@ -167,13 +167,12 @@ def shift(I: Ideal, c) -> Ideal:
     c = tuple(c)
     if len(c) != H.dim:
         raise ValueError(f"shift {c} has dimension {len(c)} != {H.dim}")
+    keep = H.counting_mask
+    groups = 0 in keep
     moved = []
     for g in I.gens:
         g = tuple(map(add, c, g))
         if max(map(abs, g)) >= MAX_COORD:
             raise ValueError(f"generator {g} exceeds the coordinate bound")
-        moved.append(g)
-    keep = H.counting_mask
-    if 0 in keep:
-        moved = [tuple(map(mul, keep, g)) for g in moved]
+        moved.append(tuple(map(mul, keep, g)) if groups else g)
     return Ideal(H, tuple(moved))

@@ -316,3 +316,45 @@ def dvm_verdict(H, radius: int) -> str:
     if not H.counting:
         return "not-applicable"
     return "true" if pairs_comparable(H, radius) else "false"
+
+
+def in_monoid(H, v) -> bool:
+    """v in H, read off each counting coordinate's membership line."""
+    for i in H.counting:
+        c, x = H.coords[i], v[i]
+        cond = coord_conductor(c)
+        if x < 0 or (x < cond and not coord_members(c, cond)[x]):
+            return False
+    return True
+
+
+def divisible_any(H, v, gens) -> bool:
+    """v in gens + H: some v - g is a member."""
+    return any(in_monoid(H, tuple(a - b for a, b in zip(v, g)))
+               for g in gens)
+
+
+def reduce_gens(H, gens) -> tuple:
+    """The minimal elements of gens under divisibility, deduplicated and
+    sorted; group coordinates must already be zero."""
+    pts = set(gens)
+    return tuple(sorted(g for g in pts if not any(
+        h != g and in_monoid(H, tuple(a - b for a, b in zip(g, h)))
+        for h in pts)))
+
+
+def module_gens_1d(coord, shifts) -> tuple:
+    """Minimal z with z + s a member of the coordinate for every shift.
+
+    The module's least member m is at most cond - min(shifts), and m
+    divides every z >= m + cond, so all minimal points lie below
+    cond - min(shifts) + cond, the end of the scan."""
+    if coord.kind == "group":
+        return (0,)
+    cond = coord_conductor(coord)
+    lo = -min(shifts)
+    ok = coord_members(coord, 3 * cond + max(shifts) + lo)
+    module = [z for z in range(lo, lo + 2 * cond + 1)
+              if all(ok[z + s] for s in shifts)]
+    return tuple(z for z in module
+                 if not any(w < z and ok[z - w] for w in module))

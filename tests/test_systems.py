@@ -202,3 +202,64 @@ def test_closed_ideals_sorted_and_closed(n2):
     assert list(fam) == sorted(fam, key=lambda I: I.gens)
     for I in fam:
         assert close(t, I) == I
+
+
+def _recording_random(log):
+    """A ``random.Random`` that logs every ``getrandbits`` and ``random``
+    result, so a test sees the draw stream itself, not just its counts."""
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            r = super().getrandbits(k)
+            log.append((k, r))
+            return r
+
+        def random(self):
+            x = super().random()
+            log.append(x)
+            return x
+    return Recording
+
+
+def test_sampler_draw_stream_is_pinned(monkeypatch, named):
+    """The sampled checks draw the same stream at the same seed.
+
+    Passing reports carry counts only, so a reordered or re-derived draw
+    would slip past every golden; the draw log's length and digest were
+    frozen from the choice/randint sampler this one replaced."""
+    import hashlib
+    import json
+
+    from idealis import corpus, systems
+    log = []
+    monkeypatch.setattr(systems.random, "Random", _recording_random(log))
+    frob = corpus.members("frobenius15")
+    models = [named[n] for n in ("gap23", "n2", "g23xn", "nxz")]
+    models += [frob[i].model for i in (0, 200, 400)]
+    docs = []
+    for H in models:
+        for label in ("s", "t", "w"):
+            rep = axioms_check(system(label, H), samples=60, radius=4, seed=5)
+            docs.append(rep.to_json())
+    H = named["g23xn"]
+    docs.append(leq_check(system("w", H), system("t", H), samples=40,
+                          radius=4, seed=3).to_json())
+    docs.append(systems._axioms_check_fn(
+        dropped_generator_close(system("t", named["gap23"])), named["gap23"],
+        "control", samples=200, radius=4, seed=0).to_json())
+    assert not docs[-1]["ok"]
+    draws = hashlib.sha256(repr(log).encode()).hexdigest()
+    reports = hashlib.sha256(
+        json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert len(log) == 21461
+    assert (draws[:16], reports[:16]) == ("4bb9aea93d04fd81",
+                                          "2890ba77e7bad29e")
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_checks_reject_non_positive_samples(gap23, samples):
+    # a vacuous run would report ok with counts["D"] == samples
+    s, t = system("s", gap23), system("t", gap23)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        axioms_check(t, samples=samples, radius=4)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        leq_check(s, t, samples=samples, radius=4)
