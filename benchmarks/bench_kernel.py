@@ -26,6 +26,8 @@ def workloads():
     wide = numerical_monoid("wide", (16, 17, 19, 21, 23, 25, 27, 29, 31))
     f13 = numerical_monoid("f13", (8, 9, 10, 11, 14, 15))
     n2 = free_monoid("n2", 2)
+    n3 = free_monoid("n3", 3)
+    free4 = free_monoid("free4", 4)
     g23xn = product("g23xn", numerical_monoid("a", (2, 3)),
                     free_monoid("b", 1))
 
@@ -51,6 +53,15 @@ def workloads():
     add("radical 2-d", g23xn.pack, "radical_gens", ((6, 2), (4, 5)))
     add("modular close", n2.pack, "modular_close_gens",
         ((3, 1), (1, 4), (2, 2)), [frozenset({0}), frozenset({1})])
+    # Multi-face closures: n3 against its three t-maximal faces, free 4
+    # against its four height-one faces.
+    add("modular close 3 faces", n3.pack, "modular_close_gens",
+        ((2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)),
+        [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})])
+    add("modular close 4 faces", free4.pack, "modular_close_gens",
+        ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1),
+         (2, 0, 1, 0)),
+        [frozenset(range(4)) - {i} for i in range(4)])
     add("box members", g23xn.pack, "box_members", (0, 0), (12, 12))
     return out
 

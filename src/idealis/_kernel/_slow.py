@@ -143,21 +143,41 @@ def module_gens_1d(pack, i, shifts):
     """
     if pack[0][i]:
         return (0,)
-    lo = -min(shifts)
     cond = pack[1][i]
+    return _gens_1d(_member_mask(pack, i), cond, pack[2][i], shifts)
+
+
+def _member_mask(pack, i):
+    """Membership of the i-th counting coordinate as an int: bit x says x
+    is a member, for x < 2 * conds[i] + frobs[i] + 1, the reach of every
+    shift ``_gens_1d`` applies.  0 for a free coordinate, which needs none.
+    """
+    cond = pack[1][i]
+    if not cond:
+        return 0
+    top = 2 * cond + pack[2][i] + 1
+    return (int(pack[4][i][::-1].translate(_BINARY), 2)
+            | ((1 << top) - (1 << cond)))
+
+
+# Reads a membership table, reversed, as a binary numeral: bit x = table[x].
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _gens_1d(member, cond, f, shifts):
+    """``module_gens_1d`` on a counting coordinate, given its membership
+    mask ``member`` (from ``_member_mask``), conductor and Frobenius number.
+    """
+    lo = -min(shifts)
     if not cond:
         # every z >= lo qualifies, and lo divides all of them
         return (lo,)
     # Bitmasks over u = z - lo in [0, width): bit x of ``member`` says x
-    # is a member (the table below the conductor, ones from it on), so
-    # z + s = u + (s + lo) is a member for every s exactly on the bits of
-    # the AND of the shifted masks; a shift with s + lo >= cond sets them
-    # all.  The least member m sits at or below u = cond, and every
-    # generator in [m, m + frobs[i]].
-    f = pack[2][i]
+    # is a member, so z + s = u + (s + lo) is a member for every s exactly
+    # on the bits of the AND of the shifted masks; a shift with
+    # s + lo >= cond sets them all.  The least member m sits at or below
+    # u = cond, and every generator in [m, m + f].
     width = cond + f + 1
-    member = (int(pack[4][i][::-1].translate(_BINARY), 2)
-              | ((1 << (width + cond)) - (1 << cond)))
     module = (1 << width) - 1
     for s in shifts:
         s += lo
@@ -176,10 +196,6 @@ def module_gens_1d(pack, i, shifts):
     return tuple(out)
 
 
-# Reads a membership table, reversed, as a binary numeral: bit x = table[x].
-_BINARY = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def inverse_gens(pack, gens):
     """Generators of {z : z + a is a member for every a in gens}.
 
@@ -188,16 +204,30 @@ def inverse_gens(pack, gens):
     """
     if not gens:
         raise ValueError("inverse of the empty module")
-    d = len(pack[0])
-    cols = [module_gens_1d(pack, i, tuple(a[i] for a in gens)) for i in range(d)]
+    return _inverse(pack, _masks(pack), gens)
+
+
+def _inverse(pack, masks, gens):
+    conds, frobs = pack[1], pack[2]
+    cols = [(0,) if m is None else
+            _gens_1d(m, conds[i], frobs[i], tuple(a[i] for a in gens))
+            for i, m in enumerate(masks)]
     return reduce_gens(pack, product(*cols))
+
+
+def _masks(pack):
+    """Each coordinate's membership mask, None on group coordinates: built
+    once per call of a routine that needs them more than once."""
+    return [None if kind else _member_mask(pack, i)
+            for i, kind in enumerate(pack[0])]
 
 
 def v_close_gens(pack, gens):
     """Divisorial closure: inverse of the inverse.  Empty stays empty."""
     if not gens:
         return ()
-    return inverse_gens(pack, inverse_gens(pack, gens))
+    masks = _masks(pack)
+    return _inverse(pack, masks, _inverse(pack, masks, gens))
 
 
 def sum_gens(pack, a_gens, b_gens):
@@ -214,11 +244,14 @@ def intersect_gens(pack, a_gens, b_gens):
     """
     if not a_gens or not b_gens:
         return ()
-    d = len(pack[0])
+    conds, frobs = pack[1], pack[2]
+    masks = _masks(pack)
     acc = []
     for a in a_gens:
         for b in b_gens:
-            cols = [module_gens_1d(pack, i, (-a[i], -b[i])) for i in range(d)]
+            cols = [(0,) if m is None else
+                    _gens_1d(m, conds[i], frobs[i], (-a[i], -b[i]))
+                    for i, m in enumerate(masks)]
             acc.extend(product(*cols))
     return reduce_gens(pack, acc)
 
@@ -263,34 +296,109 @@ def modular_close_gens(pack, gens, faces, budget=0):
     ``faces`` lists, for each maximal ideal of the target system, the set of
     counting coordinates inverted in the localisation (group coordinates are
     implicitly inverted everywhere).  An element z lies in the closure iff
-    for every face there is a generator a with z - a a member on every
-    coordinate outside the face; running over choice functions phi of
-    generators per face turns this into a finite intersection of shifted
-    coordinate modules.
+    for every face F there is a generator a with z - a a member on every
+    coordinate outside F, i.e. z lies in the union over a of a + H_F.
 
-    ``budget`` > 0 caps the number of choice functions.
+    The intersection is taken one face at a time over a list of terms,
+    each a product of one-dimensional modules: coordinate i of a term is
+    None while no face constrains it, else the generators of a module of
+    the i-th coordinate.  Meeting a term with a + H_F meets each coordinate
+    outside F with a_i + H_i.  Between faces every term contained in
+    another is dropped: if A is inside B, then A cap T is inside B cap T
+    for every later face term T, so the union does not change.  The final
+    ``reduce_gens`` keeps the module's minimal elements, which are the
+    same whatever generating set it is given.
+
+    ``budget`` > 0 caps n^k, the number of choice functions of one
+    generator per face, and raises before any work.
     """
     if not gens:
         return ()
-    d = len(pack[0])
+    kinds, conds, frobs = pack[0], pack[1], pack[2]
+    d = len(kinds)
     if not faces:
         return (tuple([0] * d),)
     n = len(gens)
     k = len(faces)
     if budget > 0 and n ** k > budget:
         raise BudgetExceeded(f"{n}^{k} choice functions")
-    acc = []
-    for phi in product(range(n), repeat=k):
-        cols = []
-        for i in range(d):
-            if pack[0][i]:
-                cols.append((0,))
+    counting = [i for i in range(d) if not kinds[i]]
+    # the counting coordinates each face leaves uninverted
+    rows = [[i for i in counting if i not in face] for face in faces]
+    seen = set().union(*rows)
+    for i in counting:
+        if i not in seen:
+            raise ValueError(f"coordinate {i} inverted in every face")
+    tables = pack[4]
+    masks = {}  # built on first use: a term's first meet needs none
+    met = {}
+
+    def meet(i, col, x):
+        """The i-th coordinate module ``col`` meet x + H_i."""
+        key = (i, col, x)
+        got = met.get(key)
+        if got is None:
+            m = masks.get(i)
+            if m is None:
+                m = masks[i] = _member_mask(pack, i)
+            cond, table = conds[i], tables[i]
+            # (t + H_i) cap (x + H_i) per generator t, then the minimal
+            # elements of their union, in increasing order
+            out = []
+            for c in sorted({z for t in col
+                             for z in _gens_1d(m, cond, frobs[i], (-t, -x))}):
+                if out and c - out[0] >= cond:
+                    break
+                for y in out:
+                    if table[c - y] == 1:
+                        break
+                else:
+                    out.append(c)
+            got = met[key] = tuple(out)
+        return got
+
+    def within(small, big):
+        """Is the term ``small`` inside the term ``big``?"""
+        for i in counting:
+            b = big[i]
+            if b is None:
                 continue
-            shifts = tuple(-gens[phi[j]][i] for j in range(k) if i not in faces[j])
-            if not shifts:
-                raise ValueError(f"coordinate {i} inverted in every face")
-            cols.append(module_gens_1d(pack, i, shifts))
-        acc.extend(product(*cols))
+            a = small[i]
+            if a is None:
+                return False
+            cond, table = conds[i], tables[i]
+            for c in a:
+                for y in b:
+                    x = c - y
+                    if x >= cond or (x >= 0 and table[x] == 1):
+                        break
+                else:
+                    return False
+        return True
+
+    terms = [(None,) * d]
+    for j, row in enumerate(rows):
+        grown = {}
+        for term in terms:
+            for a in gens:
+                t = list(term)
+                for i in row:
+                    col = term[i]
+                    t[i] = (a[i],) if col is None else meet(i, col, a[i])
+                grown[tuple(t)] = None
+        terms = list(grown)
+        if j == k - 1:
+            break
+        kept = []
+        for t in terms:
+            if any(within(t, u) for u in kept):
+                continue
+            kept = [u for u in kept if not within(u, t)]
+            kept.append(t)
+        terms = kept
+    acc = []
+    for t in terms:
+        acc.extend(product(*[(0,) if kinds[i] else t[i] for i in range(d)]))
     return reduce_gens(pack, acc)
 
 

@@ -16,7 +16,7 @@ modularization never needs more than the face data of its right operand.
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from operator import add
+from operator import add, mul
 
 from . import _kernel as K
 from .ideals import (Ideal, _trusted_ideal, ideal_eq, ideal_intersect,
@@ -383,24 +383,59 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
     pack = H.pack
     box = set(ground)
+    keep = H.counting_mask
+    # Canonical vectors: group coordinates zeroed.  Divisibility ignores
+    # group coordinates, so a member and its canonical vector divide the
+    # same members.
+    canon = [tuple(map(mul, keep, v)) for v in ground] if 0 in keep else ground
     # Traces are int bitmasks over ground: bit j stands for ground[j].
-    # The trace of a closed ideal is the union of its generators' up-sets.
+    # The trace of a closed ideal is the union of its generators' up-sets,
+    # each the AND over the counting coordinates of a column mask: the
+    # members whose i-th coordinate minus x is a member of coordinate i.
+    columns = {}
     upsets = {}
+
+    def column(i, x):
+        got = columns.get((i, x))
+        if got is None:
+            got = columns[i, x] = sum(
+                1 << j for j, v in enumerate(ground)
+                if K.member1(pack, i, v[i] - x))
+        return got
 
     def upset(g):
         got = upsets.get(g)
         if got is None:
-            got = upsets[g] = sum(1 << j for j, v in enumerate(ground)
-                                  if K.divides(pack, g, v))
+            got = (1 << n) - 1
+            for i in H.counting:
+                got &= column(i, g[i])
+            upsets[g] = got
         return got
 
+    # above[j]: the members ground[j] divides, itself excluded.
+    above = [upset(c) & ~(1 << j) for j, c in enumerate(canon)]
+
     def trace(mask):
+        # The ideal a mask generates is generated by the canonical vectors
+        # of its minimal members, sorted: what reduce_gens keeps of them
+        # all.  Members are visited in increasing order, each covering
+        # what it divides; a covered member is skipped, as what it divides
+        # is covered already.  Left uncovered is the first member of each
+        # minimal run of members that share a canonical vector.
+        covered = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            covered |= above[low.bit_length() - 1]
+            rest &= ~covered & ~low
+        rest = mask & ~covered
         gens = []
-        while mask:
-            low = mask & -mask
-            gens.append(ground[low.bit_length() - 1])
-            mask ^= low
-        I = close(sys, _trusted_ideal(gens, H))
+        while rest:
+            low = rest & -rest
+            gens.append(canon[low.bit_length() - 1])
+            rest ^= low
+        gens.sort()
+        I = close(sys, Ideal(H, tuple(gens)))
         bits = 0
         for g in I.gens:
             bits |= upset(g)

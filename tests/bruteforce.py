@@ -14,6 +14,7 @@ box.  The margin arguments are spelled out in docs/exactness.md.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -358,3 +359,34 @@ def module_gens_1d(coord, shifts) -> tuple:
               if all(ok[z + s] for s in shifts)]
     return tuple(z for z in module
                  if not any(w < z and ok[z - w] for w in module))
+
+
+def modular_close_choice(H, gens, faces) -> tuple:
+    """Modular closure by the choice-function product, on grid oracles.
+
+    For every choice phi of one generator per face, the term
+    cap_F (phi(F) + H_F) is a product over the coordinates of the module
+    of z with z - phi(F)_i a member for every face F leaving i counting;
+    the closure is the union of the terms, n^k of them for n generators
+    and k faces.  A counting coordinate inverted in every face is a
+    ValueError, as in the kernel.
+    """
+    if not gens:
+        return ()
+    if not faces:
+        return ((0,) * H.dim,)
+    n, k = len(gens), len(faces)
+    pts = set()
+    for phi in itertools.product(range(n), repeat=k):
+        cols = []
+        for i, coord in enumerate(H.coords):
+            if coord.kind == "group":
+                cols.append((0,))
+                continue
+            shifts = tuple(-gens[phi[j]][i] for j in range(k)
+                           if i not in faces[j])
+            if not shifts:
+                raise ValueError(f"coordinate {i} inverted in every face")
+            cols.append(module_gens_1d(coord, shifts))
+        pts.update(itertools.product(*cols))
+    return reduce_gens(H, pts)

@@ -1,11 +1,15 @@
-"""The pure kernel's one-coordinate and bitmask paths against the grid
-oracles of ``bruteforce``, on every coordinate of the corpus."""
+"""The pure kernel's one-coordinate and bitmask paths, and its modular
+closure, against the grid oracles of ``bruteforce``."""
 
 import random
+
+import pytest
 
 import bruteforce as bf
 from idealis import corpus
 from idealis._kernel import _slow as K
+from idealis.monoid import free_monoid
+from idealis.systems import proper_faces, r_max_faces, system
 
 
 def _models():
@@ -45,3 +49,62 @@ def test_divisible_and_reduce_match_oracle():
                     bf.divisible_any(H, v, gens), (H.name, v, gens)
                 assert K.divides(H.pack, gens[0], v) == \
                     bf.divisible_any(H, v, gens[:1]), (H.name, v, gens)
+
+
+def _close_cases(H, faces, rng, rounds, most=4, span=6):
+    keep = H.counting_mask
+    for _ in range(rounds):
+        gens = tuple(tuple(k * rng.randint(-2, span) for k in keep)
+                     for _ in range(rng.randint(1, most)))
+        got = K.modular_close_gens(H.pack, gens, faces)
+        assert got == bf.modular_close_choice(H, gens, faces), \
+            (H.name, gens, faces)
+
+
+def test_modular_close_matches_choice_oracle():
+    # The face-at-a-time intersection against the n^k choice-function
+    # product, with the t-maximal faces of every certified named model and
+    # of its localization at each proper face.
+    rng = random.Random(47)
+    for e in corpus.members("named"):
+        if not e.model.certified:
+            continue
+        for face in proper_faces(e.model):
+            L = e.model.localize(face)
+            _close_cases(L, r_max_faces(L, system("t", L)), rng, 12)
+
+
+def test_modular_close_multi_face_oracle(named, n3, nxz, g23xz):
+    rng = random.Random(53)
+    _close_cases(n3, [frozenset({0, 1}), frozenset({0, 2}),
+                      frozenset({1, 2})], rng, 40)
+    free4 = free_monoid("free4", 4)
+    _close_cases(free4, [frozenset(range(4)) - {i} for i in range(4)],
+                 rng, 30)
+    # Overlapping and repeated faces, the empty face, group coordinates.
+    for H, faces in ((n3, [frozenset({0}), frozenset({0, 1}),
+                           frozenset({2})]),
+                     (n3, [frozenset({1}), frozenset({1}), frozenset()]),
+                     (free4, [frozenset({0, 1}), frozenset({1, 2}),
+                              frozenset({2, 3}), frozenset({0, 3})]),
+                     (named["g23x25"], [frozenset({0}), frozenset({1}),
+                                        frozenset()]),
+                     (nxz, [frozenset({1}), frozenset()]),
+                     (g23xz, [frozenset(), frozenset({1}), frozenset()])):
+        _close_cases(H, faces, rng, 25, span=9)
+
+
+def test_modular_close_errors(n2, n3):
+    gens = tuple((a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2))
+    faces = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
+    with pytest.raises(K.BudgetExceeded, match="8\\^3 choice functions"):
+        K.modular_close_gens(n3.pack, gens, faces, budget=511)
+    assert K.modular_close_gens(n3.pack, gens, faces, budget=512) == \
+        ((1, 1, 1),)
+    with pytest.raises(ValueError, match="coordinate 1 inverted in every"):
+        K.modular_close_gens(n2.pack, ((1, 2),), [frozenset({1}),
+                                                  frozenset({0, 1})])
+    # the budget is checked first, before any face is looked at
+    with pytest.raises(K.BudgetExceeded):
+        K.modular_close_gens(n2.pack, ((1, 2), (2, 1)),
+                             [frozenset({0, 1})] * 3, budget=7)

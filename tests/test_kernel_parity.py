@@ -5,6 +5,7 @@ import random
 import pytest
 
 import idealis._kernel._slow as slow
+from idealis.monoid import free_monoid
 
 fast = pytest.importorskip(
     "idealis._kernel._fast",
@@ -68,19 +69,22 @@ def test_radical_and_box_parity(named):
 
 def test_modular_close_parity(named):
     rng = random.Random(31)
-    cases = {
-        "gap23": [frozenset()],
-        "n2": [frozenset({0}), frozenset({1})],
-        "g23xn": [frozenset({0}), frozenset({1})],
-    }
-    for name, faces in cases.items():
-        H = named[name]
+    cases = [
+        (named["gap23"], [frozenset()]),
+        (named["n2"], [frozenset({0}), frozenset({1})]),
+        (named["g23xn"], [frozenset({0}), frozenset({1})]),
+        (named["n3"], [frozenset({0, 1}), frozenset({0, 2}),
+                       frozenset({1, 2})]),
+        (free_monoid("free4", 4), [frozenset(range(4)) - {i}
+                                   for i in range(4)]),
+    ]
+    for H, faces in cases:
         pack = H.pack
         for _ in range(25):
             gens = tuple(tuple(rng.randrange(0, 7) for _ in H.coords)
                          for _ in range(rng.randrange(1, 4)))
             assert slow.modular_close_gens(pack, gens, faces) == \
-                fast.modular_close_gens(pack, gens, faces), (name, gens)
+                fast.modular_close_gens(pack, gens, faces), (H.name, gens)
 
 
 def test_primary_violation_parity(named):

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import time
+from operator import add
 
 import pytest
 
@@ -12,7 +14,7 @@ from idealis.monoid import MonoidModel, free_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
                              modular_close, modular_law_violation,
-                             modularization, system)
+                             modularization, r_max_faces, system)
 
 
 def members_set(I, window):
@@ -159,11 +161,38 @@ def test_closed_ideals_exhaustive_1d(gap23):
 
 @pytest.mark.parametrize("name", ["n2", "g23xn"])
 @pytest.mark.parametrize("radius", [2, 3])
-@pytest.mark.parametrize("label", ["t", "w"])
+@pytest.mark.parametrize("label", ["s", "t", "w"])
 def test_closed_ideals_exhaustive_2d(named, name, radius, label):
     """Close every subset of a 2-d box; the closures generated inside the
     box are exactly the enumerated family."""
-    H = MonoidModel(name, named[name].coords)  # fresh memo
+    _exhaustive(MonoidModel(name, named[name].coords), radius, label)
+
+
+# Coordinates taken from named models: (model, index) per coordinate.
+GROUP_BOXES = {
+    "nxz": ((("nxz", 0), ("nxz", 1)), 2),
+    "zxn": ((("nxz", 1), ("nxz", 0)), 2),
+    "g23xz": ((("g23xz", 0), ("g23xz", 1)), 2),
+    "zxg23": ((("g23xz", 1), ("g23xz", 0)), 2),
+    "nxzxn": ((("nxz", 0), ("nxz", 1), ("n1", 0)), 1),
+    "zxn2": ((("nxz", 1), ("n2", 0), ("n2", 1)), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUP_BOXES))
+@pytest.mark.parametrize("label", ["s", "t", "w"])
+def test_closed_ideals_exhaustive_group_coordinate(named, name, label):
+    """As above, on boxes whose members come in runs that differ only in a
+    group coordinate, hence share one canonical vector.  Unless the group
+    coordinate is last, the runs interleave in the lex order of the box,
+    so a candidate subset can hold part of a run, and with two counting
+    coordinates parts of two runs can both be minimal."""
+    picks, radius = GROUP_BOXES[name]
+    coords = tuple(named[m].coords[i] for m, i in picks)
+    _exhaustive(MonoidModel(name, coords), radius, label)
+
+
+def _exhaustive(H, radius, label):
     sys = system(label, H)
     box = H.enumerate(radius)
     generated = {ideal_from(sub, H)
@@ -175,6 +204,29 @@ def test_closed_ideals_exhaustive_2d(named, name, radius, label):
         if all(g in box for g in Y.gens):
             want.add(Y.gens)
     assert [I.gens for I in closed_ideals(sys, radius)] == sorted(want)
+
+
+def test_free5_w_closure_within_budget():
+    # Ten generators against five t-maximal faces would be 10^5 choice
+    # functions per closure.  On a free monoid the w-closure of a finitely
+    # generated ideal is principal at the componentwise minimum of its
+    # generators.  The ten-generator radical ideals of free 5 are the two
+    # middle layers of supports; translates keep ten generators.
+    H = free_monoid("free5", 5)
+    w = system("w", H)
+    t0 = time.perf_counter()
+    assert sorted(r_max_faces(H, system("t", H)), key=sorted) == \
+        sorted((frozenset(range(5)) - {i} for i in range(5)), key=sorted)
+    for r in (2, 3):
+        cell = [tuple(int(i in S) for i in range(5))
+                for S in itertools.combinations(range(5), r)]
+        for c in ((0, 0, 0, 0, 0), (1, 0, 2, 0, 3), (4, 4, 1, 2, 7)):
+            X = ideal_from([tuple(map(add, c, g)) for g in cell], H)
+            assert len(X.gens) == 10
+            low = tuple(min(g[i] for g in X.gens) for i in range(5))
+            assert close(w, X).gens == (low,)
+    took = time.perf_counter() - t0
+    assert took < 3.0, f"six free5 w-closures took {took:.1f}s"
 
 
 def test_closed_ideals_budget(n3):
