@@ -208,6 +208,7 @@ def inverse_gens(pack, gens):
 
 
 def _inverse(pack, masks, gens):
+    """``inverse_gens`` given the coordinate masks from ``_masks``."""
     conds, frobs = pack[1], pack[2]
     cols = [(0,) if m is None else
             _gens_1d(m, conds[i], frobs[i], tuple(a[i] for a in gens))
