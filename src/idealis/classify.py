@@ -9,10 +9,11 @@ agreement flag is the point, a disagreement signals a bug in the closure
 engine rather than in the input.  classify() bundles the full matrix, the
 suites and a spectrum summary into one JSON-ready dict.
 
-False verdicts carry validated witnesses.  Every structural shortcut is
-cross-checked against box enumerations whenever the closed-ideal lattice is
-affordable, and a contradiction raises AssertionError instead of letting one
-of the two answers win silently.
+False verdicts carry validated witnesses: a witness that fails its own
+check raises AssertionError instead of being reported.  True verdicts rest
+on the structural arguments in ``docs/exactness.md``; the box and lattice
+re-checks of those arguments live in ``tests/test_classify.py``
+(``test_true_branches_hold_on_boxes``).
 """
 
 from __future__ import annotations
@@ -249,18 +250,6 @@ class PropertyContext:
         r = min(self.radius, 4) if self.eff == "s" else self.radius
         return self.lattice_at(r)
 
-    def invertibles(self):
-        lat = self.lattice()
-        if lat is None:
-            return None
-        key = ("invertibles", self.radius)
-        got = self.sys._cache.get(key)
-        if got is None:
-            got = self.sys._cache[key] = tuple(
-                I for I in lat
-                if self.proper(I) and is_invertible(I, self.sys))
-        return got
-
     def invertible_radicals(self) -> tuple:
         got = self.sys._cache.get("invertible_radicals")
         if got is None:
@@ -272,8 +261,8 @@ class PropertyContext:
     def cells(self):
         """Support cells with nonempty counting support, sorted by gens.
 
-        Each cell must be closed under the system at hand; that is a theorem
-        for every system between s and v on these models, so it is asserted.
+        Each cell is closed under every system between s and v on these
+        models; ``test_true_branches_hold_on_boxes`` checks that.
         """
         got = self.sys._cache.get("cells")
         if got is None:
@@ -282,10 +271,7 @@ class PropertyContext:
             cnt = sorted(H.counting)
             for m in range(1, len(cnt) + 1):
                 for S in itertools.combinations(cnt, m):
-                    C = ideal_from(_cell_gens(H, S), H)
-                    if not ideal_eq(close(self.sys, C), C):
-                        raise AssertionError((S, self.sys.label))
-                    out.append((frozenset(S), C))
+                    out.append((frozenset(S), ideal_from(_cell_gens(H, S), H)))
             out.sort(key=lambda sc: sc[1].gens)
             got = self.sys._cache["cells"] = tuple(out)
         return got
@@ -532,12 +518,6 @@ def _p_sp(ctx):
                        "factorization into radical closed ideals; its "
                        "radical is not invertible")
     if ctx.eff == "t":
-        lat = ctx.lattice()
-        if lat is not None:
-            for I in lat:
-                if ctx.proper(I):
-                    if not sp_factor(I, ctx.sys).ok:
-                        raise AssertionError(I)
         return _t(note="closed ideals are principal and peel along supports")
     if len(H.counting) <= 1:
         return _t(note="closed ideals are powers of the height-one cell")
@@ -652,11 +632,6 @@ def _p_radical_factorial(ctx):
     if not H.counting:
         return _t(note="there are no non-units", vacuous=True)
     if ctx.regular:
-        if len(H.counting) <= 2:
-            for v in ctx.box(min(ctx.radius, 4))[:40]:
-                if any(v[i] for i in H.counting):
-                    if not radical_factor_principal(H, v).ok:
-                        raise AssertionError(v)
         return _t(note="greedy support peeling writes every element as a "
                        "sum of characteristic vectors")
     out = radical_factor_principal(
@@ -706,8 +681,6 @@ def _p_ppc(ctx):
         return _f(found, note="primary closed ideal with prime radical that "
                               "is no closed power of it")
     if ctx.eff == "t" or len(H.counting) == 1:
-        if lattice_counterexample() is not None:
-            raise AssertionError
         return _t(note="primary closed ideals with prime radical are powers "
                        "of the corresponding cell")
     found = lattice_counterexample()
@@ -755,8 +728,6 @@ def _p_strong_ppc(ctx):
         return _f(found, note="closed ideal with prime radical that is no "
                               "closed power of it")
     if ctx.eff == "t" or len(H.counting) == 1:
-        if lattice_counterexample() is not None:
-            raise AssertionError
         return _t(note="closed ideals with prime radical are powers of the "
                        "corresponding cell")
     found = lattice_counterexample()
@@ -1030,16 +1001,9 @@ def _p_class_group_trivial(ctx):
 def _p_intersection_localizations(ctx):
     """H equals the intersection of its localizations at height-one
     primes."""
-    H = ctx.monoid
     if not ctx.x1():
         return _t(note="no height-one primes, the empty intersection is "
                        "the group itself", vacuous=True)
-    if H.dim <= 3:
-        locs = [H.localize(P.face) for P in ctx.x1()]
-        for v in itertools.product(*[range(-2, 3)] * H.dim):
-            if all(loc.contains(v) for loc in locs):
-                if not H.contains(v):
-                    raise AssertionError(v)
     return _t(note="an element of every localization clears each "
                    "height-one denominator, hence lies in H")
 
@@ -1052,11 +1016,6 @@ def _p_invertibles_radical_factorial(ctx):
     if not H.counting:
         return _t(note="the only invertible ideal is H", vacuous=True)
     if ctx.regular:
-        inv = ctx.invertibles()
-        if inv:
-            for I in inv[:40]:
-                if not meager_factor(I, ctx.sys).ok:
-                    raise AssertionError(I)
         return _t(note="principal generators split along their supports "
                        "into invertible cells")
     w = _least_singular_principal(ctx)
@@ -1111,14 +1070,6 @@ def _p_radical_invertible_invertible(ctx):
     if not H.counting:
         return _t(note="the only invertible ideal is H", vacuous=True)
     if ctx.regular:
-        inv = ctx.invertibles()
-        if inv:
-            for I in inv[:40]:
-                R = radical(I)
-                if not ideal_eq(close(ctx.sys, R), R):
-                    raise AssertionError
-                if not is_invertible(R, ctx.sys):
-                    raise AssertionError
         return _t(note="radicals of invertible ideals are invertible cells")
     w = _least_singular_principal(ctx)
     R = radical(w)
@@ -1211,11 +1162,6 @@ def _p_meager_radical_intersections(ctx):
     if not H.counting:
         return _t(note="the only invertible ideal is H", vacuous=True)
     if ctx.regular:
-        inv = ctx.invertibles()
-        if inv:
-            for I in inv[:20]:
-                if not _meager_intersection_exists(ctx, I):
-                    raise AssertionError(I)
         return _t(note="the singleton family of the support cell is meager")
     w = _least_singular_principal(ctx)
     if _meager_intersection_exists(ctx, w):

@@ -4,15 +4,15 @@ Every prime s-ideal of a product model is P_F = {x in H : supp(x) not a
 subset of F} for a face F, a subset of the counting coordinates omitting at
 least one of them (group coordinates are divisor-closed, hence in every
 face).  The poset is therefore finite and everything downstream (heights,
-minimal primes, r-max) is exact.  Primality of each constructed ideal is
-still re-verified on a small box; that check is a tripwire, not a proof.
+minimal primes, r-max) is exact.  The tests re-check primality on boxes
+(``test_spectrum.py::test_primality_on_boxes``), maximality of the r-max
+primes (``test_r_max_is_maximal_on_boxes``) and the DVM verdict against a
+pair sweep (``test_is_dvm_matches_pair_sweep_oracle``).
 """
 
 from dataclasses import dataclass
-from operator import mul
 
-from . import _kernel as K
-from .ideals import Ideal, ideal_from, ideal_subset, unit_ideal
+from .ideals import Ideal, ideal_subset
 from .monoid import MonoidModel
 from .systems import System, _prime_gens, close, proper_faces, r_max_faces
 
@@ -54,9 +54,6 @@ def _check_certified(H: MonoidModel):
             f"{H.name}: exact spectrum needs a certified product model")
 
 
-_PRIMALITY_RADIUS = 3
-
-
 def primes(H: MonoidModel) -> Spectrum:
     """All prime s-ideals, heights by chain search in the finite poset."""
     _check_certified(H)
@@ -65,11 +62,6 @@ def primes(H: MonoidModel) -> Spectrum:
         return got
     faces = proper_faces(H)
     ideals = {face: Ideal(H, _prime_gens(H, face)) for face in faces}
-    box = H.enumerate(_PRIMALITY_RADIUS)
-    for face, P in ideals.items():
-        bad = K.primary_violation(H.pack, box, P.gens, P.gens)
-        if bad is not None:
-            raise AssertionError(f"face {sorted(face)} is not prime: {bad}")
     # Longest chains, largest faces (smallest primes) first.
     heights = {}
     for face in sorted(faces, key=len, reverse=True):
@@ -97,65 +89,34 @@ def minimal_primes_over(I: Ideal):
 
 
 def r_max(H: MonoidModel, sys: System):
-    """Maximal sys-closed primes, with a box check that nothing closed
-    sits strictly above a candidate."""
-    faces = r_max_faces(H, sys)
+    """Maximal sys-closed primes, one per face of ``r_max_faces``.
+    ``test_r_max_is_maximal_on_boxes`` checks that adding any box member
+    outside one of them closes to H."""
     spec = primes(H)
-    out = [spec.by_face(f) for f in faces]
-    if not sys._cache.get("r_max_verified"):
-        one = unit_ideal(H)
-        for M in out:
-            for x in H.enumerate(_PRIMALITY_RADIUS):
-                if M.ideal.contains_vec(x):
-                    continue
-                grown = close(sys, ideal_from(M.ideal.gens + (x,), H))
-                if grown.gens != one.gens:
-                    raise AssertionError(
-                        f"{sys.label}-closed ideal above face "
-                        f"{sorted(M.face)} via {x}")
-        sys._cache["r_max_verified"] = True
-    return out
+    return [spec.by_face(f) for f in r_max_faces(H, sys)]
 
 
-def is_dvm(H: MonoidModel, radius: int = 4) -> str:
+def is_dvm(H: MonoidModel) -> str:
     """"true" / "false" / "not-applicable" (the H = G case).
 
-    True needs: unique maximal ideal of height one, principal; the box
-    cross-check then confirms every pair of box members generates a
-    principal ideal.  That sweep runs over the box's distinct projections
-    (group coordinates zeroed), so it is quadratic in the counting part of
-    the box only.  The verdict is memoised on H per radius.
+    True exactly when the unique maximal ideal has height one and is
+    principal, which on a product of lines means H = N x Z^m
+    (``docs/exactness.md``).  ``test_is_dvm_matches_pair_sweep_oracle``
+    checks the verdict against a sweep over box pairs.  The verdict is
+    memoised on H.
     """
     _check_certified(H)
-    key = ("dvm", radius)
-    got = H.memo.get(key)
+    got = H.memo.get("dvm")
     if got is None:
-        got = H.memo[key] = _dvm_verdict(H, radius)
+        got = H.memo["dvm"] = _dvm_verdict(H)
     return got
 
 
-def _dvm_verdict(H: MonoidModel, radius: int) -> str:
+def _dvm_verdict(H: MonoidModel) -> str:
     if H.is_group:
         return "not-applicable"
     M = primes(H).by_face(frozenset())
-    if M.height != 1 or not M.ideal.is_principal:
-        return "false"
-    return "true" if _pairs_principal(H, radius) else "false"
-
-
-def _pairs_principal(H: MonoidModel, radius: int) -> bool:
-    """Does every pair of box members generate a principal ideal?
-
-    ``ideal_from`` zeroes group coordinates, so sweeping the box's distinct
-    projections asks the same question of far fewer pairs.
-    """
-    keep = H.counting_mask
-    proj = sorted({tuple(map(mul, keep, v)) for v in H.enumerate(radius)})
-    for a in proj:
-        for b in proj:
-            if not ideal_from([a, b], H).is_principal:
-                return False
-    return True
+    return "true" if M.height == 1 and M.ideal.is_principal else "false"
 
 
 def spectrum_json(H: MonoidModel, sys: System) -> dict:

@@ -137,13 +137,9 @@ class Grid:
         """Projected points of arr with every coordinate in [lo, hi]."""
         if self.k == 0:
             return {()} if arr else set()
-        pts = set()
-        it = np.argwhere(arr)
-        for iz in it:
-            p = tuple(int(x) + self.lo for x in iz)
-            if all(lo <= c <= hi for c in p):
-                pts.add(p)
-        return pts
+        pts = np.argwhere(arr) + self.lo
+        pts = pts[np.all((pts >= lo) & (pts <= hi), axis=1)]
+        return set(map(tuple, pts.tolist()))
 
 
 def _margins(H, gens, window: int) -> tuple:

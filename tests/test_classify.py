@@ -1,16 +1,23 @@
 """Property verdicts, frozen witnesses, and equivalence-suite agreement."""
 
 import gc
+import itertools
 import time
 import weakref
 
 import pytest
 
-from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, classify, evaluate,
+from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, PropertyContext,
+                              _box_primary, _is_power_of,
+                              _meager_intersection_exists, classify, evaluate,
                               property_names, suite_battery, suite_names,
                               tfae_suite)
+from idealis.factor import (is_invertible, meager_factor,
+                            radical_factor_principal, sp_factor)
+from idealis.ideals import radical
 from idealis.monoid import free_monoid
 from idealis.spectrum import UncertifiedModel
+from idealis.systems import close, system
 
 ALL_TRUE = {"n1", "n2", "n3", "nxz", "z1", "z2"}
 ALL_FALSE = {"gap23", "n345", "n25", "n357", "g23xn", "g23x25", "g23xz"}
@@ -241,3 +248,65 @@ def test_free4_classify_within_budget():
         verdicts = {c["verdict"] for c in rep["conditions"]
                     if not c.get("vacuous")}
         assert verdicts <= {"true"}, name
+
+
+def _taken(ctx, prop):
+    v = ctx.prop(prop)
+    return v.verdict == "true" and not v.vacuous
+
+
+def test_true_branches_hold_on_boxes(certified):
+    """The structural arguments behind the deciders' true branches
+    (docs/exactness.md), re-checked on boxes and closed-ideal lattices:
+    support cells are closed under every system, and every non-vacuous true
+    verdict below survives the check that backs it."""
+    models = dict(certified, free3=free_monoid("free3", 3))
+    for name, H in models.items():
+        for lbl in ("s", "t", "v", "w", "mod(s,v)"):
+            sys = system(lbl, H)
+            for S, C in PropertyContext(H, sys, 8).cells():
+                assert close(sys, C) == C, (name, lbl, sorted(S))
+        glob = PropertyContext(H, system("t", H), 8)
+        if _taken(glob, "radical_factorial"):
+            for v in glob.box(4)[:40]:
+                if any(v[i] for i in H.counting):
+                    assert radical_factor_principal(H, v).ok, (name, v)
+        if _taken(glob, "intersection_localizations"):
+            locs = [H.localize(P.face) for P in glob.x1()]
+            for v in itertools.product(range(-2, 3), repeat=H.dim):
+                if all(L.contains(v) for L in locs):
+                    assert H.contains(v), (name, v)
+        for lbl in ("s", "w", "t"):
+            ctx = PropertyContext(H, system(lbl, H), 8)
+            sys = ctx.sys
+            # a 3-d model's radius-8 lattice is over budget, a radius-2 one
+            # still gives ideals to check
+            lat = ctx.lattice() or ctx.lattice_at(2)
+            proper = [I for I in lat if ctx.proper(I)]
+            where = (name, lbl)
+            if _taken(ctx, "sp"):
+                for I in proper:
+                    assert sp_factor(I, sys).ok, (where, I)
+            cp = {P.ideal.gens for P in ctx.closed_primes()}
+            for prop, primary_only in (("ppc", True), ("strong_ppc", False)):
+                if not _taken(ctx, prop):
+                    continue
+                for I in proper:
+                    R = radical(I)
+                    if R.gens not in cp:
+                        continue
+                    if primary_only and not _box_primary(ctx, I):
+                        continue
+                    assert _is_power_of(sys, I, R) is not None, (where, I)
+            inv = [I for I in proper if is_invertible(I, sys)]
+            if _taken(ctx, "invertibles_radical_factorial"):
+                for I in inv[:40]:
+                    assert meager_factor(I, sys).ok, (where, I)
+            if _taken(ctx, "radical_invertible_invertible"):
+                for I in inv[:40]:
+                    R = radical(I)
+                    assert close(sys, R) == R, (where, I)
+                    assert is_invertible(R, sys), (where, I)
+            if _taken(ctx, "meager_radical_intersections"):
+                for I in inv[:20]:
+                    assert _meager_intersection_exists(ctx, I), (where, I)

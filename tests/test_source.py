@@ -1,9 +1,10 @@
-"""Static checks on the package source."""
+"""Checks on the package source and the README's library example."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "idealis"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "idealis"
 
 
 def test_no_assert_statements():
@@ -15,3 +16,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_readme_library_example():
+    # every "expr  # value" line of the python block evaluates to its value
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    env: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        code, _, want = line.partition("#")
+        if not want:
+            exec(line, env)
+            continue
+        assert eval(code, env) == ast.literal_eval(want.strip()), line
+        checked += 1
+    assert checked

@@ -1,14 +1,16 @@
 """Prime spectra via the face correspondence, cross-checked on boxes."""
 
+import time
+
 import pytest
 
 import bruteforce as bf
-from idealis.ideals import ideal_from, ideal_subset
+from idealis.ideals import ideal_from, ideal_subset, unit_ideal
 from idealis.monoid import free_monoid, group_monoid, localize, numerical_monoid
-from idealis.spectrum import (UncertifiedModel, _pairs_principal, height_one,
-                              is_dvm, minimal_primes_over, primes, r_max,
+from idealis.spectrum import (UncertifiedModel, height_one, is_dvm,
+                              minimal_primes_over, primes, r_max,
                               spectrum_json)
-from idealis.systems import proper_faces, system
+from idealis.systems import close, proper_faces, system
 
 
 def faces(ps):
@@ -32,12 +34,22 @@ def test_heights_and_ideals(n2, g23xn):
     assert primes(g23xn).by_face([1]).ideal.gens == ((2, 0), (3, 0))
 
 
-def test_primality_on_boxes(named):
+def _with_localizations(certified):
+    """Every certified named model, free 3 and free 4, each followed by its
+    localization at every proper face."""
+    models = list(certified.values())
+    models += [free_monoid("free3", 3), free_monoid("free4", 4)]
+    for H in models:
+        yield H
+        for face in proper_faces(H):
+            yield localize(H, face)
+
+
+def test_primality_on_boxes(certified):
     # the face construction is exact; this re-checks each ideal the hard way
-    for name in ("n2", "gap23", "g23xn", "n345", "nxz"):
-        H = named[name]
+    for H in _with_localizations(certified):
         for P in primes(H).primes:
-            assert bf.is_prime_box(H, P.ideal.gens, 5), (name, P)
+            assert bf.is_prime_box(H, P.ideal.gens, 5), (H.name, P)
 
 
 def test_non_primes_rejected_by_box_check(gap23, n2):
@@ -65,9 +77,23 @@ def test_r_max_depends_on_system(n2, g23xn):
     assert faces(r_max(g23xn, system("t", g23xn))) == [[0], [1]]
 
 
+def test_r_max_is_maximal_on_boxes(certified):
+    """Nothing closed sits strictly above an r-maximal prime: adding any box
+    member outside it closes to H."""
+    for H in _with_localizations(certified):
+        one = unit_ideal(H)
+        box = H.enumerate(3)
+        for lbl in ("s", "t", "w"):
+            sys = system(lbl, H)
+            for M in r_max(H, sys):
+                for x in box:
+                    if not M.ideal.contains_vec(x):
+                        grown = close(sys, ideal_from(M.ideal.gens + (x,), H))
+                        assert grown == one, (H.name, lbl, M, x)
+
+
 def test_r_max_members_are_closed_primes(n2):
     t = system("t", n2)
-    from idealis.systems import close
     for P in r_max(n2, t):
         assert close(t, P.ideal) == P.ideal
 
@@ -92,13 +118,27 @@ _SWEEP_RADIUS = 5
 
 
 def test_is_dvm_matches_pair_sweep_oracle(certified):
-    """The projected principality sweep asks what the full box sweep asks."""
-    for H in certified.values():
+    """The structural verdict agrees with a sweep over box pairs."""
+    # radius 1 already puts two incomparable members in the box of any
+    # product with two counting coordinates
+    models = [(H, _SWEEP_RADIUS) for H in certified.values()]
+    models += [(free_monoid(f"free{d}", d), 1) for d in (3, 4)]
+    for H, radius in models:
         for L in [H] + [localize(H, face) for face in proper_faces(H)]:
-            assert (_pairs_principal(L, _SWEEP_RADIUS)
-                    == bf.pairs_comparable(L, _SWEEP_RADIUS)), L.name
-            assert (is_dvm(L, _SWEEP_RADIUS)
-                    == bf.dvm_verdict(L, _SWEEP_RADIUS)), L.name
+            assert is_dvm(L) == bf.dvm_verdict(L, radius), L.name
+
+
+def test_free5_spectrum_within_budget():
+    # past dimension 3: the spectrum and every localization's DVM verdict
+    t0 = time.perf_counter()
+    H = free_monoid("free5", 5)
+    spec = primes(H)
+    verdicts = [is_dvm(localize(H, face)) for face in proper_faces(H)]
+    took = time.perf_counter() - t0
+    assert took < 3.0, f"free5 took {took:.1f}s"
+    assert len(spec.primes) == 31
+    # N x Z^4 at the five height-one faces, nothing else
+    assert verdicts.count("true") == 5
 
 
 def test_uncertified_raises(affine1):
