@@ -1,23 +1,22 @@
-"""Timing comparison between the pure-Python kernel and the compiled one.
+"""Per-operation timings of the kernel's generator arithmetic.
 
 Usage::
 
     python benchmarks/bench_kernel.py [--number 300] [--repeat 5]
 
 Runs a fixed basket of generator-arithmetic workloads through
-``idealis._kernel._slow`` and, when built, ``idealis._kernel._fast``, and
-prints per-operation medians side by side.  Workload sizes are chosen so a
-full run stays under a minute even on the slow path.
+``idealis._kernel`` and prints the median time of each.  Workload sizes are
+chosen so a full run stays under a minute.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import statistics
 import sys
 import time
 
+from idealis import _kernel
 from idealis.monoid import free_monoid, numerical_monoid, product
 
 
@@ -66,10 +65,10 @@ def workloads():
     return out
 
 
-def run(impl, loads, number, repeat):
+def run(loads, number, repeat):
     rows = {}
     for label, pack, fn_name, args in loads:
-        fn = getattr(impl, fn_name)
+        fn = getattr(_kernel, fn_name)
         timings = []
         for _ in range(repeat):
             t0 = time.perf_counter()
@@ -88,31 +87,15 @@ def main(argv=None) -> int:
                     help="samples per operation; the median is reported")
     args = ap.parse_args(argv)
 
-    slow = importlib.import_module("idealis._kernel._slow")
-    try:
-        fast = importlib.import_module("idealis._kernel._fast")
-    except ImportError:
-        fast = None
-        print("compiled kernel not built; timing the pure-Python path only",
-              file=sys.stderr)
-
     loads = workloads()
-    slow_rows = run(slow, loads, args.number, args.repeat)
-    fast_rows = run(fast, loads, args.number, args.repeat) if fast else {}
+    rows = run(loads, args.number, args.repeat)
 
     width = max(len(label) for label, *_ in loads)
-    header = f"{'operation':<{width}}  {'slow':>10}"
-    if fast:
-        header += f"  {'fast':>10}  {'speedup':>8}"
+    header = f"{'operation':<{width}}  {'median':>10}"
     print(header)
     print("-" * len(header))
     for label, *_ in loads:
-        s = slow_rows[label]
-        line = f"{label:<{width}}  {s * 1e6:>8.1f}us"
-        if fast:
-            f = fast_rows[label]
-            line += f"  {f * 1e6:>8.1f}us  {s / f:>7.1f}x"
-        print(line)
+        print(f"{label:<{width}}  {rows[label] * 1e6:>8.1f}us")
     return 0
 
 

@@ -160,8 +160,10 @@ class MonoidModel:
             tuple(1 if c.kind == "group" else 0 for c in self.coords),
             tuple(c.conductor for c in self.coords),
             tuple(c.frobenius for c in self.coords),
-            tuple(c.n1 for c in self.coords),
             tuple(c.table for c in self.coords),
+            tuple(None if c.kind == "group" else
+                  K.member_mask(c.conductor, c.frobenius, c.table)
+                  for c in self.coords),
             tuple(c.atoms for c in self.coords),
         )
 

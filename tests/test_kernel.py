@@ -1,5 +1,5 @@
-"""The pure kernel's one-coordinate and bitmask paths, and its modular
-closure, against the grid oracles of ``bruteforce``."""
+"""The kernel's one-coordinate and bitmask paths, its generator arithmetic
+and its modular closure, against the grid oracles of ``bruteforce``."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 
 import bruteforce as bf
 from idealis import corpus
-from idealis._kernel import _slow as K
+from idealis import _kernel as K
 from idealis.monoid import free_monoid
 from idealis.systems import proper_faces, r_max_faces, system
 
@@ -49,6 +49,33 @@ def test_divisible_and_reduce_match_oracle():
                     bf.divisible_any(H, v, gens), (H.name, v, gens)
                 assert K.divides(H.pack, gens[0], v) == \
                     bf.divisible_any(H, v, gens[:1]), (H.name, v, gens)
+
+
+def test_intersect_and_sum_match_grid_oracle(certified):
+    # Membership on a dense grid: the intersection is the AND of the two
+    # ideals, the sum the union of A's ideal translated by each b in B.
+    # Generator entries are at least -2, so both sides are exact on
+    # [lo, hi - 4], which holds every generator the kernel returns.
+    rng = random.Random(59)
+    lo, hi = -4, 36
+    for H in certified.values():
+        keep = H.counting_mask
+        grid = bf.Grid(H, lo, hi)
+        for _ in range(8):
+            A, B = (tuple(tuple(k * rng.randint(-2, 7) for k in keep)
+                          for _ in range(rng.randint(1, 4)))
+                    for _ in range(2))
+            meet = K.intersect_gens(H.pack, A, B)
+            join = K.sum_gens(H.pack, A, B)
+            XA = grid.ideal(A)
+            union = grid.ideal(())
+            for b in B:
+                union |= bf.shift(XA, grid.proj(b))
+            for got, want in ((meet, XA & grid.ideal(B)), (join, union)):
+                assert got == bf.reduce_gens(H, got), (H.name, A, B, got)
+                assert grid.window_points(grid.ideal(got), lo, hi - 4) == \
+                    grid.window_points(want, lo, hi - 4), (H.name, A, B)
+    assert {"nxz", "g23xz", "z2"} <= set(certified)
 
 
 def _close_cases(H, faces, rng, rounds, most=4, span=6):

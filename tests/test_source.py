@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from idealis import _kernel as K
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "idealis"
 
@@ -32,3 +34,13 @@ def test_readme_library_example():
         assert eval(code, env) == ast.literal_eval(want.strip()), line
         checked += 1
     assert checked
+
+
+def test_kernel_is_one_pure_module():
+    # perfbench reads IMPL into its facts line and files the profile of
+    # every function under src/idealis/_kernel/ as its "kernel" layer
+    assert K.IMPL == "slow"
+    path = Path(K.__file__).resolve()
+    assert (path.parent.name, path.name) == ("_kernel", "__init__.py")
+    assert [p.name for p in path.parent.iterdir()
+            if p.name != "__pycache__"] == ["__init__.py"]
