@@ -31,7 +31,7 @@ IMPL = "slow"
 
 
 class BudgetExceeded(Exception):
-    """Raised when a closure would enumerate more choice functions than allowed."""
+    """Raised when an enumeration would grow past its cap."""
 
 
 def member1(pack, i, x):
@@ -277,7 +277,7 @@ def box_members(pack, lo, hi):
     return [v for v in product(*cols)]
 
 
-def modular_close_gens(pack, gens, faces, budget=0):
+def modular_close_gens(pack, gens, faces):
     """Intersection of the face-localised copies of the module.
 
     ``faces`` lists, for each maximal ideal of the target system, the set of
@@ -295,9 +295,6 @@ def modular_close_gens(pack, gens, faces, budget=0):
     for every later face term T, so the union does not change.  The final
     ``reduce_gens`` keeps the module's minimal elements, which are the
     same whatever generating set it is given.
-
-    ``budget`` > 0 caps n^k, the number of choice functions of one
-    generator per face, and raises before any work.
     """
     if not gens:
         return ()
@@ -305,10 +302,6 @@ def modular_close_gens(pack, gens, faces, budget=0):
     d = len(kinds)
     if not faces:
         return (tuple([0] * d),)
-    n = len(gens)
-    k = len(faces)
-    if budget > 0 and n ** k > budget:
-        raise BudgetExceeded(f"{n}^{k} choice functions")
     counting = [i for i in range(d) if not kinds[i]]
     # the counting coordinates each face leaves uninverted
     rows = [[i for i in counting if i not in face] for face in faces]
@@ -370,7 +363,7 @@ def modular_close_gens(pack, gens, faces, budget=0):
                     t[i] = (a[i],) if col is None else meet(i, col, a[i])
                 grown[tuple(t)] = None
         terms = list(grown)
-        if j == k - 1:
+        if j == len(rows) - 1:
             break
         kept = []
         for t in terms:

@@ -294,20 +294,6 @@ class PropertyContext:
         return height_one(self.monoid)
 
 
-class _CtxMap(dict):
-    """Lazy label -> PropertyContext map shared across suite conditions."""
-
-    def __init__(self, H: MonoidModel, radius: int):
-        super().__init__()
-        self.H = H
-        self.radius = radius
-
-    def __missing__(self, label: str) -> PropertyContext:
-        ctx = PropertyContext(self.H, system(label, self.H), self.radius)
-        self[label] = ctx
-        return ctx
-
-
 # --------------------------------------------------------------------------
 # small constructions
 
@@ -436,6 +422,41 @@ def _prop(name):
         _REGISTRY[name] = fn
         return fn
     return deco
+
+
+def _singular_only(name, vacuous_note, regular_note, refute):
+    """Register a property that holds vacuously without counting
+    coordinates and structurally on regular models.  On a singular model
+    ``refute(ctx, w)`` checks that it fails at the least singular
+    principal ideal w and returns the false verdict."""
+    def decide(ctx):
+        if not ctx.monoid.counting:
+            return _t(note=vacuous_note, vacuous=True)
+        if ctx.regular:
+            return _t(note=regular_note)
+        return refute(ctx, _least_singular_principal(ctx))
+    _REGISTRY[name] = decide
+
+
+def _no_radical_product(note):
+    """Refuted at w: the complete bounded search finds no product of
+    radical closed ideals equal to w."""
+    def refute(ctx, w):
+        if _radical_product_search(ctx, w) is not None:
+            raise AssertionError
+        return _f(w, note=note)
+    return refute
+
+
+def _no_radical_peel(note):
+    """Refuted at w: the greedy radical peel of w's generator fails, and
+    its failure witness is the verdict's."""
+    def refute(ctx, w):
+        out = radical_factor_principal(ctx.monoid, w.gens[0])
+        if not isinstance(out, Failure):
+            raise AssertionError
+        return _f(out.witness, note=note)
+    return refute
 
 
 @_prop("local")
@@ -611,37 +632,22 @@ def _p_dvm(ctx):
                          "within the box")
 
 
-@_prop("factorial")
-def _p_factorial(ctx):
-    """Non-units factor into prime elements."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="there are no non-units", vacuous=True)
-    if ctx.regular:
-        return _t(note="the coordinate unit vectors are prime and generate")
-    w = _least_singular_principal(ctx)
-    return _f(w, note="no prime element divides the least singular atom: "
-                      "the maximal ideal of that coordinate is not "
-                      "principal")
+# Non-units factor into prime elements.
+_singular_only(
+    "factorial", "there are no non-units",
+    "the coordinate unit vectors are prime and generate",
+    lambda ctx, w: _f(w, note="no prime element divides the least singular "
+                              "atom: the maximal ideal of that coordinate "
+                              "is not principal"))
 
-
-@_prop("radical_factorial")
-def _p_radical_factorial(ctx):
-    """Non-units factor into radical elements."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="there are no non-units", vacuous=True)
-    if ctx.regular:
-        return _t(note="greedy support peeling writes every element as a "
-                       "sum of characteristic vectors")
-    out = radical_factor_principal(
-        H, _scaled_unit(H, ctx.singular[0],
-                        H.coords[ctx.singular[0]].n1))
-    if not isinstance(out, Failure):
-        raise AssertionError
-    return _f(out.witness,
-              note="radical of the least singular atom is not principal, "
-                   "the greedy peel has no radical element to start with")
+# Non-units factor into radical elements.
+_singular_only(
+    "radical_factorial", "there are no non-units",
+    "greedy support peeling writes every element as a sum of "
+    "characteristic vectors",
+    _no_radical_peel("radical of the least singular atom is not principal, "
+                     "the greedy peel has no radical element to start "
+                     "with"))
 
 
 @_prop("ppc")
@@ -1008,17 +1014,7 @@ def _p_intersection_localizations(ctx):
                    "height-one denominator, hence lies in H")
 
 
-@_prop("invertibles_radical_factorial")
-def _p_invertibles_radical_factorial(ctx):
-    """Invertible closed ideals factor into invertible radical closed
-    ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only invertible ideal is H", vacuous=True)
-    if ctx.regular:
-        return _t(note="principal generators split along their supports "
-                       "into invertible cells")
-    w = _least_singular_principal(ctx)
+def _no_invertible_radical_factors(ctx, w):
     out = meager_factor(w, ctx.sys)
     if not isinstance(out, Failure):
         raise AssertionError
@@ -1029,49 +1025,31 @@ def _p_invertibles_radical_factorial(ctx):
                       "not invertible")
 
 
-@_prop("invertible_radical_product")
-def _p_invertible_radical_product(ctx):
-    """Invertible closed ideals are products of radical closed ideals,
-    invertible or not."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only invertible ideal is H", vacuous=True)
-    if ctx.regular:
-        return _t(note="support peeling factors every principal ideal into "
-                       "radical cells")
-    w = _least_singular_principal(ctx)
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="invertible ideal that is no product of radical "
-                      "closed ideals; the complete bounded search is empty")
+# Invertible closed ideals factor into invertible radical closed ideals.
+_singular_only(
+    "invertibles_radical_factorial", "the only invertible ideal is H",
+    "principal generators split along their supports into invertible cells",
+    _no_invertible_radical_factors)
+
+# Invertible closed ideals are products of radical closed ideals,
+# invertible or not.
+_singular_only(
+    "invertible_radical_product", "the only invertible ideal is H",
+    "support peeling factors every principal ideal into radical cells",
+    _no_radical_product("invertible ideal that is no product of radical "
+                        "closed ideals; the complete bounded search is "
+                        "empty"))
+
+# Invertible closed ideals are products of pairwise comparable radical
+# closed ideals.
+_singular_only(
+    "invertible_comparable_radical_product", "the only invertible ideal is H",
+    "support peeling yields a nested chain of radical cells",
+    _no_radical_product("invertible ideal that is no product of radical "
+                        "closed ideals, comparable or not"))
 
 
-@_prop("invertible_comparable_radical_product")
-def _p_invertible_comparable_radical_product(ctx):
-    """Invertible closed ideals are products of pairwise comparable radical
-    closed ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only invertible ideal is H", vacuous=True)
-    if ctx.regular:
-        return _t(note="support peeling yields a nested chain of radical "
-                       "cells")
-    w = _least_singular_principal(ctx)
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="invertible ideal that is no product of radical "
-                      "closed ideals, comparable or not")
-
-
-@_prop("radical_invertible_invertible")
-def _p_radical_invertible_invertible(ctx):
-    """Radicals of invertible closed ideals are invertible."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only invertible ideal is H", vacuous=True)
-    if ctx.regular:
-        return _t(note="radicals of invertible ideals are invertible cells")
-    w = _least_singular_principal(ctx)
+def _radical_not_invertible(ctx, w):
     R = radical(w)
     if is_invertible(R, ctx.sys):
         raise AssertionError
@@ -1079,53 +1057,35 @@ def _p_radical_invertible_invertible(ctx):
                       f"{list(w.gens[0])}+H; not invertible")
 
 
-@_prop("principal_radical_product")
-def _p_principal_radical_product(ctx):
-    """Nontrivial principal ideals are products of radical closed ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="no nontrivial principal ideals", vacuous=True)
-    if ctx.regular:
-        return _t(note="support peeling factors every principal ideal")
-    w = _least_singular_principal(ctx)
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="principal ideal that is no product of radical "
-                      "closed ideals")
+# Radicals of invertible closed ideals are invertible.
+_singular_only(
+    "radical_invertible_invertible", "the only invertible ideal is H",
+    "radicals of invertible ideals are invertible cells",
+    _radical_not_invertible)
 
+# Nontrivial principal ideals are products of radical closed ideals.
+_singular_only(
+    "principal_radical_product", "no nontrivial principal ideals",
+    "support peeling factors every principal ideal",
+    _no_radical_product("principal ideal that is no product of radical "
+                        "closed ideals"))
 
-@_prop("principal_comparable_radical_product")
-def _p_principal_comparable_radical_product(ctx):
-    """Nontrivial principal ideals are products of pairwise comparable
-    radical closed ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="no nontrivial principal ideals", vacuous=True)
-    if ctx.regular:
-        return _t(note="support peeling yields a nested chain")
-    w = _least_singular_principal(ctx)
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="principal ideal that is no product of radical "
-                      "closed ideals, comparable or not")
+# Nontrivial principal ideals are products of pairwise comparable radical
+# closed ideals.
+_singular_only(
+    "principal_comparable_radical_product", "no nontrivial principal ideals",
+    "support peeling yields a nested chain",
+    _no_radical_product("principal ideal that is no product of radical "
+                        "closed ideals, comparable or not"))
 
-
-@_prop("principal_comparable_radical_principal_product")
-def _p_principal_comparable_radical_principal_product(ctx):
-    """Nontrivial principal ideals are products of pairwise comparable
-    radical principal ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="no nontrivial principal ideals", vacuous=True)
-    if ctx.regular:
-        return _t(note="support peeling yields a nested chain of "
-                       "characteristic-vector principals")
-    out = radical_factor_principal(
-        H, _scaled_unit(H, ctx.singular[0], H.coords[ctx.singular[0]].n1))
-    if not isinstance(out, Failure):
-        raise AssertionError
-    return _f(out.witness, note="the radical met by the greedy peel is not "
-                                "principal")
+# Nontrivial principal ideals are products of pairwise comparable radical
+# principal ideals.
+_singular_only(
+    "principal_comparable_radical_principal_product",
+    "no nontrivial principal ideals",
+    "support peeling yields a nested chain of characteristic-vector "
+    "principals",
+    _no_radical_peel("the radical met by the greedy peel is not principal"))
 
 
 @_prop("closed_comparable_radical_product")
@@ -1135,39 +1095,32 @@ def _p_closed_comparable_radical_product(ctx):
     H = ctx.monoid
     if not H.counting:
         return _t(note="no proper nonempty closed ideals", vacuous=True)
+    refute = _no_radical_product("closed ideal that is no product of radical "
+                                 "closed ideals, comparable or not")
     if ctx.singular:
-        w = _least_singular_principal(ctx)
-        if _radical_product_search(ctx, w) is not None:
-            raise AssertionError
-        return _f(w, note="closed ideal that is no product of radical "
-                          "closed ideals, comparable or not")
+        return refute(ctx, _least_singular_principal(ctx))
     if ctx.eff == "t" or len(H.counting) == 1:
         return _t(note="support peeling writes closed ideals as nested "
                        "radical products")
     i, j = sorted(H.counting)[:2]
-    w = ideal_from([_scaled_unit(H, i, 3),
-                    tuple((1 if a in (i, j) else 0) for a in range(H.dim))],
-                   H)
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="closed ideal that is no product of radical closed "
-                      "ideals, comparable or not")
+    return refute(ctx, ideal_from(
+        [_scaled_unit(H, i, 3),
+         tuple((1 if a in (i, j) else 0) for a in range(H.dim))], H))
 
 
-@_prop("meager_radical_intersections")
-def _p_meager_radical_intersections(ctx):
-    """Radicals of invertible closed ideals are meager intersections of
-    invertible radical closed ideals."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only invertible ideal is H", vacuous=True)
-    if ctx.regular:
-        return _t(note="the singleton family of the support cell is meager")
-    w = _least_singular_principal(ctx)
+def _no_meager_family(ctx, w):
     if _meager_intersection_exists(ctx, w):
         raise AssertionError
     return _f(radical(w), note="no meager family of invertible radical "
                                "closed ideals meets in this radical")
+
+
+# Radicals of invertible closed ideals are meager intersections of
+# invertible radical closed ideals.
+_singular_only(
+    "meager_radical_intersections", "the only invertible ideal is H",
+    "the singleton family of the support cell is meager",
+    _no_meager_family)
 
 
 # --------------------------------------------------------------------------
@@ -1250,13 +1203,13 @@ class TfaeReport:
         }
 
 
-def _eval_conjunction(ctxs, cid, text, conjuncts, group=""):
+def _eval_conjunction(H, radius, cid, text, conjuncts, group=""):
     """Conjuncts are evaluated in listed order and the first exact false
     wins; an unknown is only reported when nothing later refutes."""
     vac = False
     pending = None
     for lbl, prop in conjuncts:
-        v = ctxs[lbl].prop(prop)
+        v = PropertyContext(H, system(lbl, H), radius).prop(prop)
         if v.verdict == FALSE:
             return Condition(cid, text, FALSE, v.witness,
                              note=f"{lbl}:{prop}: {v.note}", group=group)
@@ -1270,12 +1223,11 @@ def _eval_conjunction(ctxs, cid, text, conjuncts, group=""):
     return Condition(cid, text, TRUE, vacuous=vac, group=group)
 
 
-def _cond_powers_at_height_one(ctxs):
+def _cond_powers_at_height_one(H, radius):
     """Per height-one prime: ideals with that radical are powers of it, and
     the localization direction is half-cancellative.  The half-cancellative
     part holds structurally, so the power part is decided first."""
-    ctx = ctxs["t"]
-    H = ctx.monoid
+    ctx = PropertyContext(H, system("t", H), radius)
     if not ctx.x1():
         return TRUE, None, "no height-one primes", True
     for P in ctx.x1():
@@ -1295,15 +1247,14 @@ def _cond_powers_at_height_one(ctxs):
             "coordinate minima grow strictly along products", False)
 
 
-def _post_cor38(ctxs, conds):
+def _post_cor38(H, radius, conds):
     """Once every condition holds, the two closures must agree as maps, not
     just in verdicts; checked on a deterministic sample of generator sets."""
     if any(c.verdict != TRUE for c in conds):
         return ""
-    H = ctxs.H
-    w_sys = ctxs["w"].sys
-    t_sys = ctxs["t"].sys
-    box = [v for v in H.enumerate(min(ctxs.radius, 5)) if any(v)]
+    w_sys = system("w", H)
+    t_sys = system("t", H)
+    box = [v for v in H.enumerate(min(radius, 5)) if any(v)]
     sample = [(v,) for v in box[:10]]
     sample += [(box[k], box[-1 - k]) for k in range(min(8, len(box) // 2))]
     n = 0
@@ -1528,26 +1479,23 @@ def suite_names() -> tuple:
 
 
 def suite_battery(H: MonoidModel, radius: int = 8, names=None) -> dict:
-    """Run several suites over shared property contexts.
+    """Run several suites over one model.
 
     Returns {suite name: TfaeReport} in the order given (all suites when
-    names is None).  Contexts keep their verdicts and views in the model's
-    memo, so lattice and localization work runs once across suites.
+    names is None).  Verdicts and views live in the model's memo, so
+    lattice and localization work runs once across suites.
     """
     names = tuple(SUITES) if names is None else tuple(names)
-    ctxs = _CtxMap(H, radius)
-    return {name: tfae_suite(H, name, radius, _ctxs=ctxs) for name in names}
+    return {name: tfae_suite(H, name, radius) for name in names}
 
 
-def tfae_suite(H: MonoidModel, suite: str, radius: int = 8,
-               _ctxs=None) -> TfaeReport:
+def tfae_suite(H: MonoidModel, suite: str, radius: int = 8) -> TfaeReport:
     """Evaluate one equivalence suite; raises UncertifiedModel on models
     without a certified spectrum."""
     primes(H)
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of "
                          f"{', '.join(SUITES)}")
-    ctxs = _ctxs if _ctxs is not None else _CtxMap(H, radius)
     rows = SUITES[suite]["conditions"]
     conds: list = []
     deferred: list = []
@@ -1556,11 +1504,11 @@ def tfae_suite(H: MonoidModel, suite: str, radius: int = 8,
             deferred.append((len(conds), cid, text, body[1], group))
             conds.append(None)
         elif callable(body):
-            verdict, witness, note, vac = body(ctxs)
+            verdict, witness, note, vac = body(H, radius)
             conds.append(Condition(cid, text, verdict, witness, note,
                                    vacuous=vac, group=group))
         else:
-            conds.append(_eval_conjunction(ctxs, cid, text, body, group))
+            conds.append(_eval_conjunction(H, radius, cid, text, body, group))
     for pos, cid, text, deps, group in deferred:
         got = {c.cid: c.verdict for c in conds if c is not None}
         vals = {got[d] for d in deps}
@@ -1570,7 +1518,7 @@ def tfae_suite(H: MonoidModel, suite: str, radius: int = 8,
     note = ""
     post = SUITES[suite].get("post")
     if post is not None:
-        note = post(ctxs, conds)
+        note = post(H, radius, conds)
     pools: dict = {}
     for c in conds:
         pools.setdefault(c.group, set()).add(c.verdict)
@@ -1630,16 +1578,14 @@ GLOBAL_PROPS = (
 )
 
 
-def evaluate(H: MonoidModel, sys, prop: str, radius: int = 8,
-             _ctx=None) -> PropertyVerdict:
+def evaluate(H: MonoidModel, sys, prop: str, radius: int = 8) -> PropertyVerdict:
     """Decide one property; ``sys`` is a System or a system token, ``prop``
     accepts aliases like ``t_SP`` or ``aD``."""
     primes(H)
     if isinstance(sys, str):
         sys = system(sys, H)
-    ctx = _ctx if _ctx is not None else PropertyContext(H, sys, radius)
     name = _canon(prop)
-    v = ctx.prop(name)
+    v = PropertyContext(H, sys, radius).prop(name)
     return PropertyVerdict(monoid=H.name, system=sys.label, prop=name,
                            verdict=v.verdict, radius=radius,
                            witness=v.witness, note=v.note, vacuous=v.vacuous)
@@ -1653,14 +1599,13 @@ def classify(H: MonoidModel, radius: int = 8) -> dict:
     except UncertifiedModel as exc:
         return {"monoid": H.name, "certified": False, "radius": radius,
                 "note": str(exc)}
-    ctxs = _CtxMap(H, radius)
     systems_out = {}
     for lbl in ("s", "w", "t"):
-        ctx = ctxs[lbl]
+        ctx = PropertyContext(H, system(lbl, H), radius)
         systems_out[lbl] = {p: _vjson(ctx.prop(p)) for p in MATRIX_PROPS}
-    glob = {p: _vjson(ctxs["t"].prop(p)) for p in GLOBAL_PROPS}
-    suites = {name: tfae_suite(H, name, radius, _ctxs=ctxs).to_json()
-              for name in SUITES}
+    t_ctx = PropertyContext(H, system("t", H), radius)
+    glob = {p: _vjson(t_ctx.prop(p)) for p in GLOBAL_PROPS}
+    suites = {name: tfae_suite(H, name, radius).to_json() for name in SUITES}
     return {
         "monoid": H.name,
         "certified": True,
@@ -1668,5 +1613,5 @@ def classify(H: MonoidModel, radius: int = 8) -> dict:
         "systems": systems_out,
         "global": glob,
         "suites": suites,
-        "spectrum": spectrum_json(H, ctxs["t"].sys),
+        "spectrum": spectrum_json(H, t_ctx.sys),
     }

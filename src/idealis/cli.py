@@ -34,19 +34,6 @@ class CliError(Exception):
     """Usage or input problem; maps to exit status 2."""
 
 
-def _default_radius() -> int:
-    raw = os.environ.get("IDEALIS_RADIUS", "")
-    if not raw:
-        return 8
-    try:
-        radius = int(raw)
-    except ValueError:
-        raise CliError(f"IDEALIS_RADIUS={raw!r} is not an integer") from None
-    if radius < 1:
-        raise CliError("IDEALIS_RADIUS must be at least 1")
-    return radius
-
-
 def _at_least_one(what: str):
     """argparse type for an integer option that must be at least 1."""
 
@@ -119,34 +106,24 @@ def _check_element_dim(gens, H: MonoidModel) -> None:
             f"{H.name} has {H.dim}")
 
 
-# Per-monoid workers.  Each returns (report dict, flags dict); flags feed
-# the exit-status aggregation.
+# Per-monoid workers.  Each returns its report dict; the exit status is
+# read off the reports (see _failed).
 
-_OK = {"disagreement": False, "axiom_failure": False, "uncertified": False}
-
-
-def _uncertified_report(H: MonoidModel, exc) -> tuple:
-    doc = {"monoid": H.name, "certified": False, "note": str(exc)}
-    return doc, {**_OK, "uncertified": True}
+def _uncertified_report(H: MonoidModel, exc) -> dict:
+    return {"monoid": H.name, "certified": False, "note": str(exc)}
 
 
-def _cmd_analyze(H: MonoidModel, args) -> tuple:
+def _cmd_analyze(H: MonoidModel, args) -> dict:
     doc = classify(H, args.radius)
-    if not doc["certified"]:
-        return doc, {**_OK, "uncertified": True}
-    checks = {}
-    failed = False
-    for lbl in ("s", "w", "t"):
-        rep = axioms_check(system(lbl, H), AXIOM_SAMPLES,
-                           min(args.radius, 6), args.seed)
-        checks[lbl] = rep.to_json()
-        failed = failed or not rep.ok
-    doc["axioms"] = checks
-    disagree = any(not s["agreement"] for s in doc["suites"].values())
-    return doc, {**_OK, "disagreement": disagree, "axiom_failure": failed}
+    if doc["certified"]:
+        doc["axioms"] = {
+            lbl: axioms_check(system(lbl, H), AXIOM_SAMPLES,
+                              min(args.radius, 6), args.seed).to_json()
+            for lbl in ("s", "w", "t")}
+    return doc
 
 
-def _cmd_closure(H: MonoidModel, args) -> tuple:
+def _cmd_closure(H: MonoidModel, args) -> dict:
     _check_element_dim(args.element, H)
     if not H.certified:
         return _uncertified_report(
@@ -159,7 +136,7 @@ def _cmd_closure(H: MonoidModel, args) -> tuple:
         return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
-    doc = {
+    return {
         "monoid": H.name,
         "certified": True,
         "system": sysH.label,
@@ -167,10 +144,9 @@ def _cmd_closure(H: MonoidModel, args) -> tuple:
         "closed": closed.to_json(),
         "already_closed": closed.gens == X.gens,
     }
-    return doc, dict(_OK)
 
 
-def _cmd_factor(H: MonoidModel, args) -> tuple:
+def _cmd_factor(H: MonoidModel, args) -> dict:
     _check_element_dim(args.element, H)
     if not H.certified:
         return _uncertified_report(
@@ -186,7 +162,7 @@ def _cmd_factor(H: MonoidModel, args) -> tuple:
         return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
-    doc = {
+    return {
         "monoid": H.name,
         "certified": True,
         "system": sysH.label,
@@ -194,10 +170,9 @@ def _cmd_factor(H: MonoidModel, args) -> tuple:
         "ok": result.ok,
         "result": result.to_json(),
     }
-    return doc, dict(_OK)
 
 
-def _cmd_spectrum(H: MonoidModel, args) -> tuple:
+def _cmd_spectrum(H: MonoidModel, args) -> dict:
     try:
         sysH = system(args.system, H)
         body = spectrum_json(H, sysH)
@@ -205,25 +180,21 @@ def _cmd_spectrum(H: MonoidModel, args) -> tuple:
         return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
-    doc = {"monoid": H.name, "certified": True, "system": sysH.label, **body}
-    return doc, dict(_OK)
+    return {"monoid": H.name, "certified": True, "system": sysH.label, **body}
 
 
-def _cmd_verify(H: MonoidModel, args) -> tuple:
+def _cmd_verify(H: MonoidModel, args) -> dict:
     names = (args.suite,) if args.suite else None
     try:
         battery = suite_battery(H, args.radius, names)
     except UncertifiedModel as exc:
         return _uncertified_report(H, exc)
-    suites = {name: rep.to_json() for name, rep in battery.items()}
-    disagree = any(not s["agreement"] for s in suites.values())
-    doc = {
+    return {
         "monoid": H.name,
         "certified": True,
         "radius": args.radius,
-        "suites": suites,
+        "suites": {name: rep.to_json() for name, rep in battery.items()},
     }
-    return doc, {**_OK, "disagreement": disagree}
 
 
 _WORKERS = {
@@ -236,17 +207,17 @@ _WORKERS = {
 
 
 def _task(worker, args, text: str) -> tuple:
-    """Parse one spec and run the worker on it: (doc, flags, seconds).
+    """Parse one spec and run the worker on it: (doc, seconds).
 
     The time covers the worker only.  The model's derived data is dropped
     as soon as its report is built.
     """
     H = parse_monoid(text)
     t0 = time.perf_counter()
-    doc, flags = worker(H, args)
+    doc = worker(H, args)
     dt = time.perf_counter() - t0
     H.memo.clear()
-    return doc, flags, dt
+    return doc, dt
 
 
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
@@ -255,7 +226,7 @@ def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
 
 
 def _run_models(specs, worker, args) -> list:
-    """Run the worker on each (name, spec text), results in input order.
+    """Run the worker on each (name, spec text), reports in input order.
 
     Models are independent, so with more than one worker they run in
     worker processes; the worker function and everything it returns must
@@ -275,9 +246,18 @@ def _run_models(specs, worker, args) -> list:
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(task, texts))
-    for (name, _), (_, _, dt) in zip(specs, results):
+    for (name, _), (_, dt) in zip(specs, results):
         print(f"{name}: {dt:.2f}s", file=sys.stderr)
-    return [(doc, flags) for doc, flags, _ in results]
+    return [doc for doc, _ in results]
+
+
+def _failed(doc: dict, strict: bool) -> bool:
+    """Does this report fail the run: a suite disagreed, an axiom check
+    failed, or (under --strict) the input was not certified?"""
+    if not doc["certified"]:
+        return strict
+    return (any(not s["agreement"] for s in doc.get("suites", {}).values())
+            or any(not a["ok"] for a in doc.get("axioms", {}).values()))
 
 
 # Text rendering, one compact block per report.
@@ -418,23 +398,21 @@ def _config_echo(command, args) -> dict:
     return config
 
 
-def _cmd_corpus(args) -> tuple:
+def _cmd_corpus(args) -> list:
     entries = corpus_mod.members(args.family)
     if args.dest:
         paths = corpus_mod.build(Path(args.dest), args.family)
-        reports = [
+        return [
             {"name": e.name, "family": e.family,
              "certified": e.model.certified, "file": str(p)}
             for e, p in zip(entries, paths)
         ]
-    else:
-        reports = [
-            {"name": e.name, "family": e.family,
-             "certified": e.model.certified, "dim": e.model.dim,
-             "note": e.note}
-            for e in entries
-        ]
-    return reports, any(not e.model.certified for e in entries)
+    return [
+        {"name": e.name, "family": e.family,
+         "certified": e.model.certified, "dim": e.model.dim,
+         "note": e.note}
+        for e in entries
+    ]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,8 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--radius", type=_at_least_one("radius"), default=None,
-                        help="enumeration radius (default 8, or IDEALIS_RADIUS)")
+    common.add_argument("--radius", type=_at_least_one("radius"), default=8,
+                        help="enumeration radius (default 8)")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (recorded in reports)")
     common.add_argument("--strict", action="store_true",
@@ -506,28 +484,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "radius", None) is None:
-        args.radius = _default_radius()
     if getattr(args, "element", None) is not None:
         args.element = parse_element(args.element)
 
     if args.command == "corpus":
-        reports, any_uncertified = _cmd_corpus(args)
-        sys.stdout.write(_render("corpus", args, reports))
-        return 1 if (args.strict and any_uncertified) else 0
-
-    specs = _load_specs(_collect_specs(args.inputs))
-    worker = _WORKERS[args.command]
-    with report_mod.stopwatch("total"):
-        outcomes = _run_models(specs, worker, args)
-    reports = [doc for doc, _ in outcomes]
+        reports = _cmd_corpus(args)
+    else:
+        specs = _load_specs(_collect_specs(args.inputs))
+        with report_mod.stopwatch("total"):
+            reports = _run_models(specs, _WORKERS[args.command], args)
     sys.stdout.write(_render(args.command, args, reports))
-
-    fail = False
-    for _, flags in outcomes:
-        fail = fail or flags["disagreement"] or flags["axiom_failure"]
-        fail = fail or (args.strict and flags["uncertified"])
-    return 1 if fail else 0
+    return 1 if any(_failed(doc, args.strict) for doc in reports) else 0
 
 
 def main(argv=None) -> int:

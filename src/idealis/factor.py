@@ -290,8 +290,6 @@ def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
         for S in fam:
             gens.extend(_cell_gens(H, S))
         J = ideal_from(gens, H)
-        if not ideal_eq(radical(J), J):
-            continue
         if ideal_eq(close(sys, J), J):
             out.append(J)
     out.sort(key=lambda J: J.gens)

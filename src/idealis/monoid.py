@@ -274,8 +274,9 @@ def parse_monoid(text: str) -> MonoidModel:
         coord = group <n>
         affine = (<v1>) (<v2>) ...
 
-    ``free n`` and ``group n`` expand to n coordinates.  Blank lines and
-    ``#`` comments are ignored.
+    ``free n`` and ``group n`` expand to n coordinates.  A spec has at
+    most one name line, and either coord lines or one affine line.  Blank
+    lines and ``#`` comments are ignored.
     """
     name = None
     coords = []
@@ -289,10 +290,15 @@ def parse_monoid(text: str) -> MonoidModel:
         key, _, rhs = line.partition("=")
         key, rhs = key.strip(), rhs.strip()
         if key == "name":
+            if name is not None:
+                raise ValueError(f"line {lineno}: second name line")
             if not rhs.isidentifier():
                 raise ValueError(f"line {lineno}: name must be an identifier")
             name = rhs
         elif key == "coord":
+            if affine is not None:
+                raise ValueError(
+                    f"line {lineno}: coord and affine lines do not mix")
             parts = rhs.split()
             if not parts:
                 raise ValueError(f"line {lineno}: empty coord")
@@ -310,6 +316,11 @@ def parse_monoid(text: str) -> MonoidModel:
             else:
                 raise ValueError(f"line {lineno}: unknown coordinate kind {kind!r}")
         elif key == "affine":
+            if affine is not None:
+                raise ValueError(f"line {lineno}: second affine line")
+            if coords:
+                raise ValueError(
+                    f"line {lineno}: coord and affine lines do not mix")
             vecs = []
             for chunk in rhs.replace("(", " ").split(")"):
                 chunk = chunk.strip()

@@ -38,12 +38,6 @@ class System:
     def __repr__(self):
         return f"System({self.label}, {self.monoid.name})"
 
-    @property
-    def key(self):
-        if self.kind == "mod":
-            return ("mod", self.parts[0].key, self.parts[1].key)
-        return (self.kind,)
-
 
 def _split_args(body: str):
     depth = 0
@@ -58,7 +52,7 @@ def _split_args(body: str):
 
 
 def system(token: str, H: MonoidModel) -> System:
-    """Resolve a system selector: s | t | v | w | w_p:<p> | mod(<p>,<r>).
+    """Resolve a system selector: s | t | v | w | mod(<p>,<r>).
 
     Systems are registered in the model's memo, one per token.
     """
@@ -71,10 +65,6 @@ def system(token: str, H: MonoidModel) -> System:
         sys = System(H, token, (), token)
     elif token == "w":
         sys = System(H, "mod", (system("s", H), system("t", H)), "w")
-    elif token.startswith("w_p:"):
-        p = system(token[4:], H)
-        sys = System(H, "mod", (p, system("t", H)), token)
-        _check_leq_pre(sys)
     elif token.startswith("mod(") and token.endswith(")"):
         left, right = _split_args(token[4:-1])
         sys = System(H, "mod", (system(left, H), system(right, H)), token)

@@ -17,13 +17,11 @@ from idealis.monoid import to_text
 SRC = str(Path(idealis.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, env=None, cwd=None):
-    full_env = dict(os.environ)
-    full_env["PYTHONPATH"] = SRC + os.pathsep + full_env.get("PYTHONPATH", "")
-    full_env.update(env or {})
+def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run([sys.executable, "-m", "idealis.cli", *args],
-                          capture_output=True, text=True, env=full_env,
-                          cwd=cwd)
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -104,18 +102,6 @@ def test_json_config_echoes_arguments(specs):
     assert doc["config"]["inputs"] == [str(specs / "gap23.spec")]
 
 
-def test_radius_env_default(specs):
-    r = run_cli("analyze", str(specs / "gap23.spec"), "--json",
-                env={"IDEALIS_RADIUS": "6"})
-    assert json.loads(r.stdout)["config"]["radius"] == 6
-    r = run_cli("analyze", str(specs / "gap23.spec"), "--json",
-                "--radius", "5", env={"IDEALIS_RADIUS": "6"})
-    assert json.loads(r.stdout)["config"]["radius"] == 5   # flag wins
-    r = run_cli("analyze", str(specs / "gap23.spec"),
-                env={"IDEALIS_RADIUS": "zero"})
-    assert r.returncode == 2
-
-
 def test_csv_projection(specs):
     r = run_cli("analyze", str(specs / "gap23.spec"), "--csv", "--radius", "6")
     lines = r.stdout.splitlines()
@@ -188,22 +174,33 @@ def test_worker_count_is_bounded():
     assert cli._worker_count(3, 593, 64) == 3
 
 
+def test_exit_status_is_read_off_the_reports():
+    ok = {"certified": True, "suites": {"a": {"agreement": True}},
+          "axioms": {"s": {"ok": True}}}
+    assert not cli._failed(ok, strict=True)
+    assert cli._failed({**ok, "suites": {"a": {"agreement": False}}}, False)
+    assert cli._failed({**ok, "axioms": {"s": {"ok": False}}}, False)
+    assert not cli._failed({"certified": True}, strict=True)
+    assert cli._failed({"certified": False}, strict=True)
+    assert not cli._failed({"certified": False}, strict=False)
+
+
 def _named_specs(*names):
     models = {e.name: e.model for e in corpus.members("named")}
     return [(name, to_text(models[name])) for name in names]
 
 
 def _pid_worker(H, args):
-    return {"monoid": H.name, "pid": os.getpid()}, {}
+    return {"monoid": H.name, "pid": os.getpid()}
 
 
 def test_one_model_or_one_worker_runs_in_process():
     for specs, jobs in ((_named_specs("gap23"), 100000),
                         (_named_specs("gap23", "nxz", "n2"), 1)):
-        outcomes = cli._run_models(specs, _pid_worker,
-                                   argparse.Namespace(jobs=jobs))
-        assert [doc["monoid"] for doc, _ in outcomes] == [n for n, _ in specs]
-        assert {doc["pid"] for doc, _ in outcomes} == {os.getpid()}
+        reports = cli._run_models(specs, _pid_worker,
+                                  argparse.Namespace(jobs=jobs))
+        assert [doc["monoid"] for doc in reports] == [n for n, _ in specs]
+        assert {doc["pid"] for doc in reports} == {os.getpid()}
 
 
 FAILING_BATCH = """
@@ -214,7 +211,7 @@ from idealis.monoid import to_text
 def fail_on_nxz(H, args):
     if H.name == "nxz":
         raise ValueError(H.name + ": deliberate failure")
-    return {"monoid": H.name}, {}
+    return {"monoid": H.name}
 
 models = {e.name: e.model for e in corpus.members("named")}
 specs = [(n, to_text(models[n])) for n in ("gap23", "nxz", "n2")]
@@ -245,6 +242,15 @@ def test_parse_errors_name_the_file(tmp_path):
     r = run_cli("analyze", str(bad))
     assert r.returncode == 2
     assert "bad.spec" in r.stderr and "line 1" in r.stderr
+
+
+def test_mixed_spec_is_a_parse_error(tmp_path):
+    # a spec with both coord and affine lines is refused, not half-read
+    bad = tmp_path / "mixed.spec"
+    bad.write_text("name = x\ncoord = numerical 2 3\naffine = (1,0) (0,1)\n")
+    r = run_cli("analyze", str(bad))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "mixed.spec: line 3: coord and affine lines do not mix" in r.stderr
 
 
 def test_corpus_listing():

@@ -10,6 +10,7 @@ from idealis.factor import (Failure, PreconditionFailed, class_group_probe,
                             support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_intersect,
                             ideal_subset, ideal_sum, radical, unit_ideal)
+from idealis.monoid import free_monoid
 from idealis.systems import close, closed_ideals, system
 
 
@@ -76,6 +77,22 @@ def test_radical_closed_ideals(n2, gap23):
         [((0, 1),), ((0, 1), (1, 0)), ((1, 0),), ((1, 1),)]
     assert [I.gens for I in radical_closed_ideals(system("t", gap23))] == \
         [((2,), (3,))]
+
+
+def test_radical_closed_ideals_are_radical_and_closed(certified):
+    """Each cell union is its own radical: its generators' supports are
+    exactly the antichain, so the support criterion gives it back."""
+    models = dict(certified, free3=free_monoid("free3", 3),
+                  free4=free_monoid("free4", 4))
+    for name, H in models.items():
+        for lbl in ("s", "t", "w"):
+            sys = system(lbl, H)
+            fam = radical_closed_ideals(sys)
+            assert all(a.gens < b.gens for a, b in zip(fam, fam[1:])), \
+                (name, lbl)
+            for J in fam:
+                assert ideal_eq(radical(J), J), (name, lbl, J.gens)
+                assert ideal_eq(close(sys, J), J), (name, lbl, J.gens)
 
 
 def test_radical_closed_family_matches_lattice_filter(n2):

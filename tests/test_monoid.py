@@ -103,6 +103,13 @@ def test_parse_defaults_name():
     ("name = ex\ncoord = ", "line 2: empty coord"),
     ("coord = numerical", "positive"),
     ("coord = free 0", "positive count"),
+    # a spec is coord lines or one affine line, under at most one name
+    ("name = ex\ncoord = numerical 2 3\naffine = (1,0) (0,1)\n",
+     "line 3: coord and affine lines do not mix"),
+    ("affine = (1,0) (0,1)\ncoord = free 1\n",
+     "line 2: coord and affine lines do not mix"),
+    ("affine = (1,0)\n\naffine = (0,1)\n", "line 3: second affine line"),
+    ("name = ex\nname = why\ncoord = free 1\n", "line 2: second name line"),
 ])
 def test_parse_errors_carry_line_numbers(text, msg):
     with pytest.raises(ValueError, match=msg):

@@ -20,6 +20,26 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_environment_settings():
+    # every setting is an argument or a command-line option; nothing is
+    # read from the environment
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "os":
+                hit = f"os.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and names & {a.name for a in node.names}:
+                hit = "from os import"
+            else:
+                continue
+            found.append(f"{path.relative_to(SRC)}:{node.lineno} {hit}")
+    assert not found, found
+
+
 def test_readme_library_example():
     # every "expr  # value" line of the python block evaluates to its value
     text = (ROOT / "README.md").read_text()
