@@ -239,9 +239,9 @@ class PropertyContext:
             got = self.monoid.memo[key] = list(self.monoid.enumerate(radius))
         return got
 
-    def lattice_at(self, radius: int):
+    def lattice_at(self, radius: int, cap: int = 5000):
         try:
-            return closed_ideals(self.sys, radius, cap=5000, max_ground=360)
+            return closed_ideals(self.sys, radius, cap=cap, max_ground=360)
         except K.BudgetExceeded:
             return None
 
@@ -808,8 +808,8 @@ def _p_cancellative(ctx):
         return _t(note="closed ideals are principal, multiplication is "
                        "translation")
     r = min(ctx.radius, 3) if ctx.eff == "s" else ctx.radius
-    lat = ctx.lattice_at(r)
-    if lat is None or len(lat) > 120:
+    lat = ctx.lattice_at(r, cap=120)
+    if lat is None:
         return _u(note="closed-ideal lattice too large for the collision "
                        "scan")
     proper = [I for I in lat if ctx.proper(I)]

@@ -378,23 +378,20 @@ def _render(command, args, reports) -> str:
 
 
 def _config_echo(command, args) -> dict:
-    config = {
-        "radius": getattr(args, "radius", None),
-        "seed": getattr(args, "seed", None),
-        "strict": args.strict,
-        "format": args.format,
-    }
-    if command != "corpus":
-        config["inputs"] = [str(p) for p in args.inputs]
+    config = {"strict": args.strict, "format": args.format}
+    if command == "corpus":
+        config["family"] = args.family or "all"
+        config["dest"] = args.dest
+        return config
+    config["radius"] = args.radius
+    config["seed"] = args.seed
+    config["inputs"] = [str(p) for p in args.inputs]
     if hasattr(args, "system"):
         config["system"] = args.system
     if command == "verify":
         config["suite"] = args.suite or "all"
     if command in ("closure", "factor"):
         config["element"] = [list(g) for g in args.element]
-    if command == "corpus":
-        config["family"] = args.family or "all"
-        config["dest"] = args.dest
     return config
 
 
@@ -422,22 +419,26 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--radius", type=_at_least_one("radius"), default=8,
-                        help="enumeration radius (default 8)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (recorded in reports)")
-    common.add_argument("--strict", action="store_true",
+    # --strict and the output format, for every subcommand
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--strict", action="store_true",
                         help="uncertified inputs fail the run")
-    common.add_argument("--jobs", type=_at_least_one("jobs"),
-                        default=min(4, os.cpu_count() or 1),
-                        help="worker processes (default min(4, CPUs))")
-    fmt = common.add_mutually_exclusive_group()
+    fmt = output.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="format", action="store_const",
                      const="json", help="canonical JSON report")
     fmt.add_argument("--csv", dest="format", action="store_const",
                      const="csv", help="flat CSV projection")
-    common.set_defaults(format="text")
+    output.set_defaults(format="text")
+
+    # and the options of the subcommands that run models
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
+    common.add_argument("--radius", type=_at_least_one("radius"), default=8,
+                        help="enumeration radius (default 8)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="seed for sampled checks (recorded in reports)")
+    common.add_argument("--jobs", type=_at_least_one("jobs"),
+                        default=min(4, os.cpu_count() or 1),
+                        help="worker processes (default min(4, CPUs))")
 
     def inputs(p):
         p.add_argument("inputs", nargs="+", metavar="SPEC",
@@ -472,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=suite_names(), default=None,
                    help="one suite (default: all)")
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[output],
                        help="list or write the built-in corpus")
     p.add_argument("--family", choices=corpus_mod.FAMILIES, default=None,
                    help="restrict to one family")

@@ -16,6 +16,8 @@ modularization never needs more than the face data of its right operand.
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import product as iproduct
+from math import prod
 from operator import add, mul
 
 from . import _kernel as K
@@ -234,7 +236,6 @@ def _check_samples(samples):
 
 
 def _box_vectors(H: MonoidModel, radius: int):
-    from itertools import product as iproduct
     ranges = []
     for i, c in enumerate(H.coords):
         lo = -radius if c.kind == "group" else -(radius // 2)
@@ -345,13 +346,28 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     """Every sys-closed ideal whose canonical generators lie in the radius
     box, H included, the empty ideal excluded; sorted by generators.
 
-    Enumeration is Ganter's next-closure over the box ground set with the
-    operator E -> members(close(sys, E)) meet box; an ideal generated inside
-    the box is recovered from its box trace, so the family is exhaustive.
-    Closed sets whose ideal needs a generator outside the box are dropped.
-    Raises BudgetExceeded past cap ideals or max_ground box vectors; the
-    verdict machinery falls back to structural arguments then.  The result,
-    or the BudgetExceeded, is memoised per (radius, cap, max_ground).
+    The family is exhaustive and is built in one of two ways, which
+    ``docs/exactness.md`` ("Lattice enumeration") shows give the same
+    ideals:
+
+    - A coordinatewise system (t, v, and a modularization whose maximal
+      faces each leave one counting coordinate uninverted; see
+      ``_coordinatewise``) closes one counting coordinate at a time, so its
+      closed ideals are the products of closed ideals that vanish off one
+      axis each.  Each axis family comes from next-closure over the box
+      members on that axis, and the family is their product.
+    - Any other system runs Ganter's next-closure over the whole box with
+      the operator E -> members(close(sys, E)) meet box.  An ideal
+      generated inside the box is recovered from its box trace; closed
+      sets whose ideal needs a generator outside the box are dropped.
+
+    Raises BudgetExceeded past ``max_ground`` box vectors or past ``cap``
+    ideals.  The cap trips before anything is enumerated where the size is
+    known first: a product family has the product of the axis families'
+    sizes, and the s-family holds at least 2^w - 1 ideals when w distinct
+    canonical box vectors share one coordinate sum.  The verdict machinery
+    falls back to structural arguments then.  The result, or the
+    BudgetExceeded, is memoised per (radius, cap, max_ground).
     """
     key = ("lattice", radius, cap, max_ground)
     got = sys._cache.get(key)
@@ -363,14 +379,77 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     return got
 
 
+def _coordinatewise(sys: System) -> bool:
+    """Is every sys-closure a product of one-dimensional modules, one per
+    counting coordinate, each depending on that coordinate of the input
+    alone?  True for t and v; true for mod(p, r) when p is s or
+    coordinatewise and every maximal r-closed prime has height one."""
+    if sys.kind in ("t", "v"):
+        return True
+    if sys.kind != "mod":
+        return False
+    p, r = sys.parts
+    H = sys.monoid
+    height_one = len(H.counting) - 1
+    return ((p.kind == "s" or _coordinatewise(p))
+            and all(len(face) == height_one for face in r_max_faces(H, r)))
+
+
 def _lattice(sys: System, radius: int, cap: int, max_ground: int):
-    """closed_ideals' enumeration; a tripped budget is returned."""
+    """closed_ideals' family; a tripped budget is returned."""
     H = sys.monoid
     ground = list(H.enumerate(radius))
     n = len(ground)
     if n > max_ground:
         return K.BudgetExceeded(
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
+    over = K.BudgetExceeded(
+        f"{sys.label}-lattice at radius {radius} exceeds {cap}")
+    if not _coordinatewise(sys):
+        if sys.kind == "s" and (1 << _widest_level(H, ground)) - 1 > cap:
+            return over
+        out = _next_closure(sys, ground, cap)
+        if out is None:
+            return over
+        return tuple(sorted(out, key=lambda I: I.gens))
+    axes = []
+    for i in H.counting:
+        axis = _next_closure(
+            sys, [v for v in ground if not any(v[:i]) and not any(v[i + 1:])],
+            cap)
+        if axis is None:
+            return over
+        axes.append([I.gens for I in axis])
+    if prod(map(len, axes)) > cap:
+        return over
+    # A product ideal's generators take one generator per axis ideal and
+    # add them up; each is zero off its axis.  Axes in increasing order,
+    # each sorted, give them in lex order.
+    zero = (0,) * H.dim
+    out = [Ideal(H, tuple(tuple(map(sum, zip(zero, *picks)))
+                          for picks in iproduct(*factors)))
+           for factors in iproduct(*axes)]
+    return tuple(sorted(out, key=lambda I: I.gens))
+
+
+def _widest_level(H: MonoidModel, ground) -> int:
+    """The most distinct canonical vectors in ``ground`` sharing one sum
+    of counting coordinates.  They form an antichain: a divisor with the
+    same sum differs only in group coordinates."""
+    keep = H.counting_mask
+    levels = {}
+    for v in ground:
+        c = tuple(map(mul, keep, v))
+        levels.setdefault(sum(c), set()).add(c)
+    return max(map(len, levels.values()))
+
+
+def _next_closure(sys: System, ground: list, cap: int):
+    """Ganter's next-closure over ``ground`` (members in lex order): the
+    sys-closed ideals, in lectic order, whose canonical generators lie in
+    ``ground`` and which some subset of it generates; None past ``cap``."""
+    H = sys.monoid
+    n = len(ground)
     pack = H.pack
     box = set(ground)
     keep = H.counting_mask
@@ -437,8 +516,7 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
         if not ideal_A.is_empty and all(g in box for g in ideal_A.gens):
             out.append(ideal_A)
             if len(out) > cap:
-                return K.BudgetExceeded(
-                    f"{sys.label}-lattice at radius {radius} exceeds {cap}")
+                return None
         nxt = None
         for i in range(n - 1, -1, -1):
             if A >> i & 1:
@@ -452,4 +530,4 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
         if nxt is None:
             break
         A, ideal_A = nxt
-    return tuple(sorted(out, key=lambda I: I.gens))
+    return out

@@ -182,11 +182,17 @@ def mod_st_members(H, gens, window: int) -> set:
     grid = Grid(H, lo, hi)
     Xs = grid.ideal(gens)
     accepted = set()
+    # -m + H for each minimum m, built once per call
+    unshifted = {}
     for x in _box_points(grid, window):
         fstar = grid.member & shift(Xs, tuple(-c for c in x))
         viol = np.ones_like(grid.member)
         for m in grid.minima(fstar):
-            viol &= shift(grid.member, tuple(-c for c in m))
+            moved = unshifted.get(m)
+            if moved is None:
+                moved = unshifted[m] = shift(grid.member,
+                                             tuple(-c for c in m))
+            viol &= moved
         if not bool(np.any(viol & ~grid.member)):
             accepted.add(x)
     return accepted

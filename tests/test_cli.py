@@ -265,6 +265,17 @@ def test_corpus_listing():
     assert sum(row["family"] == "frobenius15" for row in rows) == 579
 
 
+def test_corpus_takes_no_model_options():
+    # nothing corpus lists or writes depends on a radius, a seed or workers
+    r = run_cli("corpus", "--family", "named", "--json")
+    assert json.loads(r.stdout)["config"] == {
+        "dest": None, "family": "named", "format": "json", "strict": False}
+    for flag in ("--radius", "--seed", "--jobs"):
+        r = run_cli("corpus", flag, "3")
+        assert r.returncode == 2 and r.stdout == ""
+        assert f"unrecognized arguments: {flag} 3" in r.stderr
+
+
 def test_corpus_build(tmp_path):
     r = run_cli("corpus", "--family", "named", "--dest", str(tmp_path))
     assert r.returncode == 0

@@ -9,8 +9,9 @@ import pytest
 
 import bruteforce as bf
 from idealis import _kernel as K
+from idealis import systems
 from idealis.ideals import ideal_eq, ideal_from, ideal_subset
-from idealis.monoid import MonoidModel, free_monoid
+from idealis.monoid import MonoidModel, free_monoid, parse_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
                              modular_close, modular_law_violation,
@@ -254,6 +255,83 @@ def test_closed_ideals_sorted_and_closed(n2):
     assert list(fam) == sorted(fam, key=lambda I: I.gens)
     for I in fam:
         assert close(t, I) == I
+
+
+def _enumerated(sys, radius, cap):
+    """closed_ideals' outcome by next-closure over the whole box: the
+    sorted generator tuples, or the BudgetExceeded message."""
+    ground = sys.monoid.enumerate(radius)
+    if len(ground) > 400:
+        return (f"{sys.label}-lattice ground set has {len(ground)} > 400 "
+                "vectors")
+    out = systems._next_closure(sys, ground, cap)
+    if out is None:
+        return f"{sys.label}-lattice at radius {radius} exceeds {cap}"
+    return sorted(I.gens for I in out)
+
+
+def _outcome(sys, radius, cap):
+    try:
+        return [I.gens for I in closed_ideals(sys, radius, cap=cap)]
+    except K.BudgetExceeded as exc:
+        return str(exc)
+
+
+# Products with numerical, free and group coordinates beyond the corpus.
+PRODUCT_SPECS = {
+    "g23xg25xn": "coord = numerical 2 3\ncoord = numerical 2 5\n"
+                 "coord = free 1\n",
+    "zxn34": "coord = group 1\ncoord = numerical 3 4\n",
+    "n345xzxn": "coord = numerical 3 4 5\ncoord = group 1\ncoord = free 1\n",
+    "n57xg23": "coord = numerical 5 7\ncoord = numerical 2 3\n",
+}
+
+
+def test_product_lattice_matches_enumeration(certified):
+    """The product of per-axis lattices is the whole-box next-closure
+    family, tuple for tuple and budget message for budget message.  mod(s,s)
+    has a maximal face of height d on a d-dimensional model, so from d = 2
+    on it must take the whole-box path."""
+    # n2 and n3 are free 2 and free 3
+    models = dict(certified)
+    models.update((name, parse_monoid(f"name = {name}\n{spec}"))
+                  for name, spec in PRODUCT_SPECS.items())
+    for name, H in models.items():
+        # the whole-box reference grows with the box; keep it to seconds
+        radii = {2: (4, 6, 8), 3: (4,)}.get(len(H.counting), (4, 5, 6, 7, 8))
+        for label in ("t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)"):
+            sys = system(label, H)
+            assert systems._coordinatewise(sys) == (
+                label != "mod(s,s)" or len(H.counting) < 2), (name, label)
+            for radius in radii:
+                for cap in (20, 20000):
+                    want = _enumerated(sys, radius, cap)
+                    got = _outcome(sys, radius, cap)
+                    assert got == want, (name, label, radius, cap)
+
+
+def test_s_lattice_bound_is_exact(certified, monkeypatch):
+    """Tripping the s-lattice cap on the level-set bound gives what the
+    enumeration gives; where it trips, nothing is closed.  On a group the
+    bound, 1, is the lattice's size, so cap 1 must not trip."""
+    models = dict(certified, free3=free_monoid("free3", 3))
+    for name, H in models.items():
+        sys = system("s", H)
+        for radius, cap in ((2, 1), (3, 120), (4, 5000)):
+            want = _enumerated(sys, radius, cap)
+            assert _outcome(sys, radius, cap) == want, (name, radius, cap)
+    calls = []
+
+    def counting_close(sys, X):
+        calls.append(X)
+        return close(sys, X)
+
+    monkeypatch.setattr(systems, "close", counting_close)
+    fresh = system("s", free_monoid("n3", 3))
+    for radius, cap in ((3, 120), (4, 5000)):
+        with pytest.raises(K.BudgetExceeded, match=f"exceeds {cap}"):
+            closed_ideals(fresh, radius, cap=cap)
+    assert calls == []
 
 
 def _recording_random(log):
