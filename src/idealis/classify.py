@@ -9,10 +9,19 @@ agreement flag is the point, a disagreement signals a bug in the closure
 engine rather than in the input.  classify() bundles the full matrix, the
 suites and a spectrum summary into one JSON-ready dict.
 
+Each property is one decider in ``_REGISTRY``.  The paper states its
+characterizations in dual pairs (invertible or principal, maximal closed or
+height-one primes, primary or not), and each such pair is one registering
+factory called twice with what differs.  ``MATRIX_PROPS`` is every
+registered property outside the element-wise ``GLOBAL_PROPS``.
+
 False verdicts carry validated witnesses: a witness that fails its own
-check raises AssertionError instead of being reported.  True verdicts rest
-on the structural arguments in ``docs/exactness.md``; the box and lattice
-re-checks of those arguments live in ``tests/test_classify.py``
+check raises AssertionError instead of being reported.  The exhaustive
+radical-product search depends only on the system, the witness and the
+universe of factors, so the system's memo keeps its result and each such
+search runs once however many deciders refute at that witness.  True
+verdicts rest on the structural arguments in ``docs/exactness.md``; the box
+and lattice re-checks of those arguments live in ``tests/test_classify.py``
 (``test_true_branches_hold_on_boxes``).
 """
 
@@ -27,9 +36,11 @@ from .factor import (
     _cell_gens,
     Failure,
     class_group_probe,
+    invertible_radicals,
     is_invertible,
-    meager_check,
     meager_factor,
+    meager_family,
+    power_depths,
     radical_closed_ideals,
     radical_factor_principal,
     sp_factor,
@@ -38,7 +49,6 @@ from .ideals import (
     Ideal,
     ideal_eq,
     ideal_from,
-    ideal_intersect,
     ideal_subset,
     ideal_sum,
     principal,
@@ -62,7 +72,6 @@ from .systems import (
     modular_law_violation,
     system,
 )
-from .systems import power_close
 
 TRUE = "true"
 FALSE = "false"
@@ -250,14 +259,6 @@ class PropertyContext:
         r = min(self.radius, 4) if self.eff == "s" else self.radius
         return self.lattice_at(r)
 
-    def invertible_radicals(self) -> tuple:
-        got = self.sys._cache.get("invertible_radicals")
-        if got is None:
-            got = self.sys._cache["invertible_radicals"] = tuple(
-                J for J in radical_closed_ideals(self.sys)
-                if is_invertible(J, self.sys))
-        return got
-
     def cells(self):
         """Support cells with nonempty counting support, sorted by gens.
 
@@ -324,6 +325,15 @@ def _two_gen_max(ctx: PropertyContext) -> Ideal:
                        _scaled_unit(H, j, H.coords[j].n1)], H)
 
 
+def _pair_witness(ctx: PropertyContext, k: int) -> Ideal:
+    # (k e_i, e_i + e_j) over the first two counting coordinates
+    i, j = sorted(ctx.monoid.counting)[:2]
+    H = ctx.monoid
+    return ideal_from([_scaled_unit(H, i, k),
+                       tuple((1 if a in (i, j) else 0) for a in range(H.dim))],
+                      H)
+
+
 def _is_power_of(sys: System, I: Ideal, R: Ideal, cap: int = _POWER_CAP):
     """The k with (R^k)_r = I, or None.  Powers only shrink, so the scan
     stops as soon as I escapes the current power."""
@@ -344,33 +354,35 @@ def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
                                rad.gens) is None
 
 
-def _radical_product_search(ctx: PropertyContext, I: Ideal, universe=None):
+def _radical_product_search(ctx: PropertyContext, I: Ideal,
+                            invertible: bool = False):
     """Exhaustive bounded search for a product of proper radical closed
-    ideals equal to I; returns the factor list or None.
+    ideals, invertible ones only when ``invertible``, equal to I; returns
+    the factor list or None.  Nothing in it depends on the radius, so the
+    result is kept in the system's memo."""
+    key = ("radical_product", I.gens, invertible)
+    if key not in ctx.sys._cache:
+        ctx.sys._cache[key] = _find_radical_product(ctx.sys, I, invertible)
+    return ctx.sys._cache[key]
+
+
+def _find_radical_product(sys: System, I: Ideal, invertible: bool):
+    """The search behind _radical_product_search.
 
     The depth bound is complete: a factor below a height-one prime P raises
     the largest closed P-power containing the partial product, any factor
     below no height-one prime raises the total counting degree of every
     member, and both quantities are capped by I itself.
     """
-    sys = ctx.sys
-    H = ctx.monoid
-    if universe is None:
-        universe = radical_closed_ideals(ctx.sys)
+    H = sys.monoid
+    universe = invertible_radicals(sys) if invertible \
+        else radical_closed_ideals(sys)
     # every factor contains the product
     universe = [R for R in universe if ideal_subset(I, R)]
     if not universe:
         return None
-    bound = 0
-    for P in ctx.x1():
-        k = 0
-        while k < _POWER_CAP and ideal_subset(
-                I, power_close(sys, P.ideal, k + 1)):
-            k += 1
-        bound += k
-    cnt = H.counting
-    bound += min(sum(g[i] for i in cnt) for g in I.gens)
-    unit = unit_ideal(H)
+    bound = sum(power_depths(I, sys))
+    bound += min(sum(g[i] for i in H.counting) for g in I.gens)
     hit: list = []
 
     def dfs(cur, start, depth):
@@ -390,25 +402,15 @@ def _radical_product_search(ctx: PropertyContext, I: Ideal, universe=None):
             path.pop()
 
     path: list = []
-    dfs(unit, 0, bound)
+    dfs(unit_ideal(H), 0, bound)
     return hit[0] if hit else None
 
 
 def _meager_intersection_exists(ctx: PropertyContext, I: Ideal) -> bool:
     """Complete scan: some family of invertible radical closed ideals meets
     in radical(I) and passes the meager containment rows for I."""
-    R = radical(I)
-    U = ctx.invertible_radicals()
-    for size in range(1, len(U) + 1):
-        for omega in itertools.combinations(U, size):
-            meet = omega[0]
-            for J in omega[1:]:
-                meet = ideal_intersect(meet, J)
-            if not ideal_eq(meet, R):
-                continue
-            if meager_check(list(omega), I, ctx.sys).meager:
-                return True
-    return False
+    U = invertible_radicals(ctx.sys)
+    return meager_family(I, ctx.sys, len(U)) is not None
 
 
 # --------------------------------------------------------------------------
@@ -489,35 +491,29 @@ def _p_treed(ctx):
     return _t(note="closed primes below each maximal one are comparable")
 
 
-@_prop("almost_dedekind")
-def _p_almost_dedekind(ctx):
-    """Every localization at a maximal closed prime is a discrete
-    valuation monoid."""
-    if not ctx.rmax():
-        return _t(note="no maximal closed primes", vacuous=True)
-    for P in ctx.rmax():
-        loc = ctx.monoid.localize(P.face)
-        if is_dvm(loc) != "true":
-            return _f({"face": sorted(P.face), "localization": loc.name},
-                      note="localization at the marked maximal closed prime "
-                           "is not a discrete valuation monoid")
-    return _t(note="all localizations at maximal closed primes are discrete "
-                   "valuation monoids")
+def _localizations_dvm(name, primes_of, where):
+    """Register "every localization at a prime of ``primes_of(ctx)`` is a
+    discrete valuation monoid"; ``where`` names such a prime."""
+    def decide(ctx):
+        if not primes_of(ctx):
+            return _t(note=f"no {where}s", vacuous=True)
+        for P in primes_of(ctx):
+            loc = ctx.monoid.localize(P.face)
+            if is_dvm(loc) != "true":
+                return _f({"face": sorted(P.face), "localization": loc.name},
+                          note=f"localization at the marked {where} is not "
+                               "a discrete valuation monoid")
+        return _t(note=f"all localizations at {where}s are discrete "
+                       "valuation monoids")
+    _REGISTRY[name] = decide
 
 
-@_prop("localizations_dvm")
-def _p_localizations_dvm(ctx):
-    """Same test as almost_dedekind but at every height-one prime."""
-    if not ctx.x1():
-        return _t(note="no height-one primes", vacuous=True)
-    for P in ctx.x1():
-        loc = ctx.monoid.localize(P.face)
-        if is_dvm(loc) != "true":
-            return _f({"face": sorted(P.face), "localization": loc.name},
-                      note="localization at the marked height-one prime is "
-                           "not a discrete valuation monoid")
-    return _t(note="all localizations at height-one primes are discrete "
-                   "valuation monoids")
+# Every localization at a maximal closed prime is a discrete valuation
+# monoid; the same test at every height-one prime.
+_localizations_dvm("almost_dedekind", PropertyContext.rmax,
+                   "maximal closed prime")
+_localizations_dvm("localizations_dvm", PropertyContext.x1,
+                   "height-one prime")
 
 
 @_prop("sp")
@@ -542,10 +538,7 @@ def _p_sp(ctx):
         return _t(note="closed ideals are principal and peel along supports")
     if len(H.counting) <= 1:
         return _t(note="closed ideals are powers of the height-one cell")
-    i, j = sorted(H.counting)[:2]
-    w = ideal_from([_scaled_unit(H, i, 3),
-                    tuple((1 if a in (i, j) else 0) for a in range(H.dim))],
-                   H)
+    w = _pair_witness(ctx, 3)
     if not ideal_eq(close(ctx.sys, w), w):
         raise AssertionError
     if _radical_product_search(ctx, w) is not None:
@@ -554,44 +547,34 @@ def _p_sp(ctx):
                       "closed ideals; the complete bounded search is empty")
 
 
-@_prop("prufer")
-def _p_prufer(ctx):
-    """Nonempty finitely generated closed ideals are invertible."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only nonempty ideal is H", vacuous=True)
-    if ctx.singular:
-        C = _cell_of(ctx, {ctx.singular[0]})
-        if is_invertible(C, ctx.sys):
-            raise AssertionError
-        return _f(C, note="closed finitely generated support cell that is "
-                          "not invertible")
-    if ctx.eff == "t" or len(H.counting) == 1:
-        return _t(note="closed finitely generated ideals are principal")
-    M = _two_gen_max(ctx)
-    if is_invertible(M, ctx.sys):
-        raise AssertionError
-    return _f(M, note="the two-generator height-two prime is not invertible")
+# The invertible/principal twins: (word, test of a closed ideal).
+_TESTS = {"invertible": is_invertible,
+          "principal": lambda I, sys: I.is_principal}
 
 
-@_prop("bezout")
-def _p_bezout(ctx):
-    """Nonempty finitely generated closed ideals are principal."""
-    H = ctx.monoid
-    if not H.counting:
-        return _t(note="the only nonempty ideal is H", vacuous=True)
-    if ctx.singular:
-        C = _cell_of(ctx, {ctx.singular[0]})
-        if C.is_principal:
+def _fg_closed(name, word):
+    """Register "nonempty finitely generated closed ideals are ``word``"."""
+    def decide(ctx):
+        H = ctx.monoid
+        if not H.counting:
+            return _t(note="the only nonempty ideal is H", vacuous=True)
+        if ctx.singular:
+            C = _cell_of(ctx, {ctx.singular[0]})
+            if _TESTS[word](C, ctx.sys):
+                raise AssertionError
+            return _f(C, note="closed finitely generated support cell that "
+                              f"is not {word}")
+        if ctx.eff == "t" or len(H.counting) == 1:
+            return _t(note="closed finitely generated ideals are principal")
+        M = _two_gen_max(ctx)
+        if _TESTS[word](M, ctx.sys):
             raise AssertionError
-        return _f(C, note="closed finitely generated support cell that is "
-                          "not principal")
-    if ctx.eff == "t" or len(H.counting) == 1:
-        return _t(note="closed finitely generated ideals are principal")
-    M = _two_gen_max(ctx)
-    if M.is_principal:
-        raise AssertionError
-    return _f(M, note="the two-generator height-two prime is not principal")
+        return _f(M, note=f"the two-generator height-two prime is not {word}")
+    _REGISTRY[name] = decide
+
+
+_fg_closed("prufer", "invertible")
+_fg_closed("bezout", "principal")
 
 
 @_prop("valuation")
@@ -650,102 +633,51 @@ _singular_only(
                      "with"))
 
 
-@_prop("ppc")
-def _p_ppc(ctx):
-    """Primary closed ideals with prime radical are powers of it."""
-    H = ctx.monoid
-    sys = ctx.sys
-    if not H.counting:
-        return _t(note="no proper primary closed ideals", vacuous=True)
+def _prime_power(name, primary, vacuous_note):
+    """Register the prime power condition: closed ideals with prime radical,
+    only the primary ones when ``primary``, are closed powers of it."""
+    what = "primary closed ideal" if primary else "closed ideal"
 
-    def lattice_counterexample():
+    def refutes(ctx, I):
+        # box-primary when that is asked, and no closed power of its radical
+        return ((not primary or _box_primary(ctx, I))
+                and _is_power_of(ctx.sys, I, radical(I)) is None)
+
+    def decide(ctx):
+        H = ctx.monoid
+        if not H.counting:
+            return _t(note=vacuous_note, vacuous=True)
+        if ctx.regular and (ctx.eff == "t" or len(H.counting) == 1):
+            return _t(note=f"{what}s with prime radical are powers of the "
+                           "corresponding cell")
+        found = None
         lat = ctx.lattice()
-        if lat is None:
-            return None
-        cp = {P.ideal.gens for P in ctx.closed_primes()}
-        for I in lat:
-            if not ctx.proper(I):
-                continue
-            R = radical(I)
-            if R.gens not in cp:
-                continue
-            if not _box_primary(ctx, I):
-                continue
-            if _is_power_of(sys, I, R) is None:
-                return I
-        return None
-
-    if ctx.singular:
-        found = lattice_counterexample()
+        if lat is not None:
+            cp = {P.ideal.gens for P in ctx.closed_primes()}
+            found = next((I for I in lat if ctx.proper(I)
+                          and radical(I).gens in cp and refutes(ctx, I)),
+                         None)
         if found is None:
-            found = _least_singular_principal(ctx)
-            R = radical(found)
-            if _is_power_of(sys, found, R) is not None:
+            if ctx.singular:
+                found = _least_singular_principal(ctx)
+            elif primary:
+                i, j = sorted(H.counting)[:2]
+                found = ideal_from([_scaled_unit(H, i, 1),
+                                    _scaled_unit(H, j, 2)], H)
+            else:
+                found = _pair_witness(ctx, 2)
+            if not refutes(ctx, found):
                 raise AssertionError
-            if not _box_primary(ctx, found):
-                raise AssertionError
-        return _f(found, note="primary closed ideal with prime radical that "
-                              "is no closed power of it")
-    if ctx.eff == "t" or len(H.counting) == 1:
-        return _t(note="primary closed ideals with prime radical are powers "
-                       "of the corresponding cell")
-    found = lattice_counterexample()
-    if found is None:
-        i, j = sorted(H.counting)[:2]
-        found = ideal_from([_scaled_unit(H, i, 1), _scaled_unit(H, j, 2)], H)
-        if not _box_primary(ctx, found):
-            raise AssertionError
-        if _is_power_of(sys, found, radical(found)) is not None:
-            raise AssertionError
-    return _f(found, note="primary closed ideal with prime radical that is "
-                          "no closed power of it")
+        return _f(found, note=f"{what} with prime radical that is no closed "
+                              "power of it")
+    _REGISTRY[name] = decide
 
 
-@_prop("strong_ppc")
-def _p_strong_ppc(ctx):
-    """Closed ideals with prime radical are powers of it, primary or not."""
-    H = ctx.monoid
-    sys = ctx.sys
-    if not H.counting:
-        return _t(note="no proper closed ideals with prime radical",
-                  vacuous=True)
-
-    def lattice_counterexample():
-        lat = ctx.lattice()
-        if lat is None:
-            return None
-        cp = {P.ideal.gens for P in ctx.closed_primes()}
-        for I in lat:
-            if not ctx.proper(I):
-                continue
-            R = radical(I)
-            if R.gens not in cp:
-                continue
-            if _is_power_of(sys, I, R) is None:
-                return I
-        return None
-
-    if ctx.singular:
-        found = lattice_counterexample()
-        if found is None:
-            found = _least_singular_principal(ctx)
-            if _is_power_of(sys, found, radical(found)) is not None:
-                raise AssertionError
-        return _f(found, note="closed ideal with prime radical that is no "
-                              "closed power of it")
-    if ctx.eff == "t" or len(H.counting) == 1:
-        return _t(note="closed ideals with prime radical are powers of the "
-                       "corresponding cell")
-    found = lattice_counterexample()
-    if found is None:
-        i, j = sorted(H.counting)[:2]
-        found = ideal_from(
-            [_scaled_unit(H, i, 2),
-             tuple((1 if a in (i, j) else 0) for a in range(H.dim))], H)
-        if _is_power_of(sys, found, radical(found)) is not None:
-            raise AssertionError
-    return _f(found, note="closed ideal with prime radical that is no "
-                          "closed power of it")
+# Primary closed ideals with prime radical are powers of it; the strong
+# condition drops "primary".
+_prime_power("ppc", True, "no proper primary closed ideals")
+_prime_power("strong_ppc", False,
+             "no proper closed ideals with prime radical")
 
 
 @_prop("primary_inclusive")
@@ -875,53 +807,37 @@ def _p_min_primes_fg_height_one(ctx):
                             "prime")
 
 
-@_prop("radical_principal_invertible")
-def _p_radical_principal_invertible(ctx):
-    """Radicals of nontrivial principal ideals are invertible."""
-    if not ctx.monoid.counting:
-        return _t(note="the radical of any principal ideal is H",
-                  vacuous=True)
-    for S, C in ctx.cells():
-        if not is_invertible(C, ctx.sys):
-            return _f(C, note="radical of every principal ideal supported "
-                              f"on {sorted(S)}; not invertible")
-    return _t(note="every support cell is invertible")
+def _radical_principal(word):
+    """Register "radicals of nontrivial principal ideals are ``word``"."""
+    def decide(ctx):
+        if not ctx.monoid.counting:
+            return _t(note="the radical of any principal ideal is H",
+                      vacuous=True)
+        for S, C in ctx.cells():
+            if not _TESTS[word](C, ctx.sys):
+                return _f(C, note="radical of every principal ideal "
+                                  f"supported on {sorted(S)}; not {word}")
+        return _t(note=f"every support cell is {word}")
+    _REGISTRY[f"radical_principal_{word}"] = decide
 
 
-@_prop("radical_principal_principal")
-def _p_radical_principal_principal(ctx):
-    """Radicals of nontrivial principal ideals are principal."""
-    if not ctx.monoid.counting:
-        return _t(note="the radical of any principal ideal is H",
-                  vacuous=True)
-    for S, C in ctx.cells():
-        if not C.is_principal:
-            return _f(C, note="radical of every principal ideal supported "
-                              f"on {sorted(S)}; not principal")
-    return _t(note="every support cell is principal")
+def _radical_fg(word):
+    """Register "nontrivial radical closed finitely generated ideals are
+    ``word``"."""
+    def decide(ctx):
+        if not ctx.monoid.counting:
+            return _t(note="no nontrivial radical closed ideals",
+                      vacuous=True)
+        for J in radical_closed_ideals(ctx.sys):
+            if not _TESTS[word](J, ctx.sys):
+                return _f(J, note=f"radical closed ideal that is not {word}")
+        return _t(note=f"all radical closed ideals are {word}")
+    _REGISTRY[f"radical_fg_{word}"] = decide
 
 
-@_prop("radical_fg_invertible")
-def _p_radical_fg_invertible(ctx):
-    """Nontrivial radical closed finitely generated ideals are
-    invertible."""
-    if not ctx.monoid.counting:
-        return _t(note="no nontrivial radical closed ideals", vacuous=True)
-    for J in radical_closed_ideals(ctx.sys):
-        if not is_invertible(J, ctx.sys):
-            return _f(J, note="radical closed ideal that is not invertible")
-    return _t(note="all radical closed ideals are invertible")
-
-
-@_prop("radical_fg_principal")
-def _p_radical_fg_principal(ctx):
-    """Nontrivial radical closed finitely generated ideals are principal."""
-    if not ctx.monoid.counting:
-        return _t(note="no nontrivial radical closed ideals", vacuous=True)
-    for J in radical_closed_ideals(ctx.sys):
-        if not J.is_principal:
-            return _f(J, note="radical closed ideal that is not principal")
-    return _t(note="all radical closed ideals are principal")
+for _word in _TESTS:
+    _radical_principal(_word)
+    _radical_fg(_word)
 
 
 @_prop("primes_contain_invertible_radical")
@@ -931,7 +847,7 @@ def _p_primes_contain_invertible_radical(ctx):
     cp = ctx.closed_primes()
     if not cp:
         return _t(note="no closed primes", vacuous=True)
-    U = ctx.invertible_radicals()
+    U = invertible_radicals(ctx.sys)
     for P in cp:
         if not any(ideal_subset(J, P.ideal) for J in U):
             return _f(P.ideal, note="closed prime containing no invertible "
@@ -956,28 +872,25 @@ def _p_primes_contain_radical_principal(ctx):
                    "radical principal ideal")
 
 
-@_prop("max_eq_height_one")
-def _p_max_eq_height_one(ctx):
-    """Maximal closed primes are exactly the height-one primes."""
-    mx = {P.face for P in ctx.rmax()}
-    x1 = {P.face for P in ctx.x1()}
-    if mx == x1:
-        note = "maximal closed primes and height-one primes coincide"
-        return _t(note=note, vacuous=not mx)
-    diff = sorted(sorted(f) for f in mx.symmetric_difference(x1))
-    return _f({"faces": diff}, note="faces on one side only")
+def _max_eq(name, other, true_note):
+    """Register "the maximal closed primes are those of ``other(ctx)``"."""
+    def decide(ctx):
+        mx = {P.face for P in ctx.rmax()}
+        oth = {P.face for P in other(ctx)}
+        if mx == oth:
+            return _t(note=true_note, vacuous=not mx)
+        diff = sorted(sorted(f) for f in mx.symmetric_difference(oth))
+        return _f({"faces": diff}, note="faces on one side only")
+    _REGISTRY[name] = decide
 
 
-@_prop("max_eq_t_max")
-def _p_max_eq_t_max(ctx):
-    """Maximal closed primes agree with the t-maximal ones."""
-    mx = {P.face for P in ctx.rmax()}
-    tmx = {P.face for P in r_max(ctx.monoid, system("t", ctx.monoid))}
-    if mx == tmx:
-        return _t(note="maximal closed primes for the system are the "
-                       "t-maximal ones", vacuous=not mx)
-    diff = sorted(sorted(f) for f in mx.symmetric_difference(tmx))
-    return _f({"faces": diff}, note="faces on one side only")
+# Maximal closed primes are exactly the height-one primes; they agree with
+# the t-maximal ones.
+_max_eq("max_eq_height_one", PropertyContext.x1,
+        "maximal closed primes and height-one primes coincide")
+_max_eq("max_eq_t_max",
+        lambda ctx: r_max(ctx.monoid, system("t", ctx.monoid)),
+        "maximal closed primes for the system are the t-maximal ones")
 
 
 @_prop("class_group_trivial")
@@ -1018,7 +931,7 @@ def _no_invertible_radical_factors(ctx, w):
     out = meager_factor(w, ctx.sys)
     if not isinstance(out, Failure):
         raise AssertionError
-    if _radical_product_search(ctx, w, ctx.invertible_radicals()) is not None:
+    if _radical_product_search(ctx, w, invertible=True) is not None:
         raise AssertionError
     return _f(w, note="invertible ideal with no factorization into "
                       "invertible radical closed ideals; its radical is "
@@ -1102,10 +1015,7 @@ def _p_closed_comparable_radical_product(ctx):
     if ctx.eff == "t" or len(H.counting) == 1:
         return _t(note="support peeling writes closed ideals as nested "
                        "radical products")
-    i, j = sorted(H.counting)[:2]
-    return refute(ctx, ideal_from(
-        [_scaled_unit(H, i, 3),
-         tuple((1 if a in (i, j) else 0) for a in range(H.dim))], H))
+    return refute(ctx, _pair_witness(ctx, 3))
 
 
 def _no_meager_family(ctx, w):
@@ -1531,43 +1441,6 @@ def tfae_suite(H: MonoidModel, suite: str, radius: int = 8) -> TfaeReport:
 # --------------------------------------------------------------------------
 # public evaluation surface
 
-MATRIX_PROPS = (
-    "almost_dedekind",
-    "bezout",
-    "cancellative",
-    "class_group_trivial",
-    "closed_comparable_radical_product",
-    "finite_conductor",
-    "half_cancellative",
-    "intersection_localizations",
-    "invertible_comparable_radical_product",
-    "invertible_radical_product",
-    "invertibles_radical_factorial",
-    "local",
-    "localizations_dvm",
-    "max_eq_height_one",
-    "max_eq_t_max",
-    "meager_radical_intersections",
-    "min_primes_fg_height_one",
-    "modular_system",
-    "ppc",
-    "primary_inclusive",
-    "primes_contain_invertible_radical",
-    "primes_contain_radical_principal",
-    "principal_comparable_radical_principal_product",
-    "principal_comparable_radical_product",
-    "principal_radical_product",
-    "prufer",
-    "radical_fg_invertible",
-    "radical_fg_principal",
-    "radical_invertible_invertible",
-    "radical_principal_invertible",
-    "radical_principal_principal",
-    "sp",
-    "strong_ppc",
-    "treed",
-)
-
 GLOBAL_PROPS = (
     "acc_radical_principal",
     "dvm",
@@ -1576,6 +1449,8 @@ GLOBAL_PROPS = (
     "radical_factorial",
     "valuation",
 )
+
+MATRIX_PROPS = tuple(sorted(set(_REGISTRY) - set(GLOBAL_PROPS)))
 
 
 def evaluate(H: MonoidModel, sys, prop: str, radius: int = 8) -> PropertyVerdict:

@@ -310,9 +310,7 @@ def _text_verify(doc, lines) -> None:
         head = "agreement" if suite["agreement"] else "DISAGREEMENT"
         lines.append(f"{name} {suite_name}: {head}")
         for cond in suite["conditions"]:
-            tag = f"({cond['id']})" if not cond["group"] else \
-                f"({cond['group']}{cond['id']})"
-            row = f"  {tag} {cond['verdict']:22s} {cond['text']}"
+            row = f"  ({cond['id']}) {cond['verdict']:22s} {cond['text']}"
             notes = [n for n in (cond["note"],
                                  "vacuous" if cond["vacuous"] else "") if n]
             if notes:

@@ -278,14 +278,10 @@ def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
     if hit is not None:
         return hit
     H = sys.monoid
-    supports = [frozenset(c) for c in _nonempty_subsets(H.counting)]
-    antichains = [
-        fam
-        for fam in _subsets(supports)
-        if fam and not any(a < b for a in fam for b in fam)
-    ]
+    supports = [frozenset(c) for r in range(1, len(H.counting) + 1)
+                for c in combinations(H.counting, r)]
     out = []
-    for fam in antichains:
+    for fam in _antichains(supports, [], 0):
         gens = []
         for S in fam:
             gens.extend(_cell_gens(H, S))
@@ -298,16 +294,27 @@ def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
     return result
 
 
-def _nonempty_subsets(items):
-    items = list(items)
-    for r in range(1, len(items) + 1):
-        yield from combinations(items, r)
+def _antichains(supports, chosen, start):
+    """Every nonempty antichain of the distinct sets in ``supports`` that
+    extends ``chosen`` by sets at index ``start`` or later, once each: a set
+    comparable with one already chosen is skipped."""
+    for k in range(start, len(supports)):
+        S = supports[k]
+        if any(S <= T or T <= S for T in chosen):
+            continue
+        chosen.append(S)
+        yield tuple(chosen)
+        yield from _antichains(supports, chosen, k + 1)
+        chosen.pop()
 
 
-def _subsets(items):
-    items = list(items)
-    for r in range(len(items) + 1):
-        yield from (set(c) for c in combinations(items, r))
+def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
+    """The invertible members of radical_closed_ideals(sys), in its order."""
+    hit = sys._cache.get("invertible_radicals")
+    if hit is None:
+        hit = sys._cache["invertible_radicals"] = tuple(
+            J for J in radical_closed_ideals(sys) if is_invertible(J, sys))
+    return hit
 
 
 def _cell_gens(H: MonoidModel, S):
@@ -320,52 +327,54 @@ def _cell_gens(H: MonoidModel, S):
     return gens
 
 
-def _measure(I: Ideal, sys: System) -> int:
-    """max k with I inside the k-th closed power of some height-one prime."""
-    best = 0
+def power_depths(I: Ideal, sys: System) -> tuple[int, ...]:
+    """Per height-one prime P, the largest k <= _POWER_CAP with I inside the
+    k-th closed power of P."""
+    out = []
     for P in height_one(sys.monoid):
         k = 0
         while k < _POWER_CAP and ideal_subset(I, power_close(sys, P.ideal, k + 1)):
             k += 1
-        best = max(best, k)
-    return best
+        out.append(k)
+    return tuple(out)
+
+
+def meager_family(I: Ideal, sys: System, max_size: int):
+    """The first family of at most max_size invertible radical closed ideals,
+    by size and then in their order, that meets in radical(I) and is meager
+    for I; None when there is none."""
+    rad = radical(I)
+    universe = invertible_radicals(sys)
+    for size in range(1, min(max_size, len(universe)) + 1):
+        for combo in combinations(universe, size):
+            meet = reduce(ideal_intersect, combo)
+            if ideal_eq(meet, rad) and meager_check(combo, I, sys).meager:
+                return combo
+    return None
 
 
 def meager_factor(I: Ideal, sys: System) -> FactorChain | Failure:
     """Factor an invertible ideal by repeatedly peeling a meager set.
 
     At each step the radical of the current ideal must be an intersection of
-    invertible radical closed ideals forming a meager set for it; the peel
-    strictly decreases the prime-power measure, which is asserted.
+    at most three invertible radical closed ideals forming a meager set for
+    it; the peel strictly decreases the prime-power measure, which is
+    asserted.
     """
     if not is_invertible(I, sys):
         raise ValueError("meager_factor: input must be invertible")
-    universe = [
-        J
-        for J in radical_closed_ideals(sys)
-        if is_invertible(J, sys)
-    ]
     unit = unit_ideal(sys.monoid)
     cur = I
     factors: list[Ideal] = []
-    m_prev = _measure(cur, sys)
+    m_prev = max(power_depths(cur, sys), default=0)
     while not ideal_eq(cur, unit):
-        rad = radical(cur)
-        omega = None
-        for size in range(1, min(3, len(universe)) + 1):
-            for combo in combinations(universe, size):
-                meet = reduce(ideal_intersect, combo)
-                if ideal_eq(meet, rad) and meager_check(combo, cur, sys).meager:
-                    omega = combo
-                    break
-            if omega is not None:
-                break
+        omega = meager_family(cur, sys, 3)
         if omega is None:
-            return Failure("NoMeagerSet", witness=rad)
+            return Failure("NoMeagerSet", witness=radical(cur))
         for J in omega:
             factors.append(J)
             cur = close(sys, ideal_sum(cur, inverse(J)))
-        m_now = _measure(cur, sys)
+        m_now = max(power_depths(cur, sys), default=0)
         if m_now >= m_prev:
             raise AssertionError("meager peel did not decrease the measure")
         m_prev = m_now

@@ -392,3 +392,33 @@ def modular_close_choice(H, gens, faces) -> tuple:
             cols.append(module_gens_1d(coord, shifts))
         pts.update(itertools.product(*cols))
     return reduce_gens(H, pts)
+
+
+def radical_closed_by_filter(sys) -> tuple:
+    """Proper radical closed ideals by the whole-subset filter.
+
+    Every subset of the nonempty supports that is a nonempty antichain
+    names the union of its cells (generators: products of atoms over the
+    support); it counts when the system closes it to itself.  Sorted by
+    generators, as ``factor.radical_closed_ideals`` returns them.
+    """
+    from idealis.ideals import ideal_from
+    from idealis.systems import close
+
+    H = sys.monoid
+    supports = [frozenset(c) for r in range(1, len(H.counting) + 1)
+                for c in itertools.combinations(H.counting, r)]
+    out = []
+    for r in range(1, len(supports) + 1):
+        for fam in itertools.combinations(supports, r):
+            if any(a < b for a in fam for b in fam):
+                continue
+            gens = []
+            for S in fam:
+                cols = [coord_atoms(H.coords[i]) if i in S else (0,)
+                        for i in range(H.dim)]
+                gens.extend(itertools.product(*cols))
+            J = ideal_from(gens, H)
+            if close(sys, J) == J:
+                out.append(J)
+    return tuple(sorted(out, key=lambda J: J.gens))

@@ -1,9 +1,13 @@
 """Property verdicts, frozen witnesses, and equivalence-suite agreement."""
 
 import gc
+import hashlib
 import itertools
+import json
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,8 @@ from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, PropertyContext,
 from idealis.factor import (is_invertible, meager_factor,
                             radical_factor_principal, sp_factor)
 from idealis.ideals import radical
-from idealis.monoid import free_monoid
+from idealis.monoid import free_monoid, numerical_monoid
+from idealis.report import dumps
 from idealis.spectrum import UncertifiedModel
 from idealis.systems import close, system
 
@@ -36,6 +41,42 @@ EXPECTED_UNKNOWN = {
     ("g23x25", "t"): {"cancellative", "class_group_trivial",
                       "modular_system"},
 }
+
+
+DIGESTS = Path(__file__).with_name("classify_digests.json")
+
+
+def test_classify_report_bytes_are_frozen(certified):
+    # SHA-256 of every report byte, notes included; perfbench's digests
+    # cover verdicts and witnesses only
+    models = dict(certified, free3=free_monoid("free3", 3))
+    got = {name: hashlib.sha256(dumps(classify(H, 8)).encode()).hexdigest()
+           for name, H in models.items()}
+    assert got == json.loads(DIGESTS.read_text())
+
+
+def test_each_witness_is_searched_once(monkeypatch):
+    # on gap23 seven deciders per system refute through the radical
+    # product search, at two distinct (witness, universe) inputs
+    C = sys.modules[classify.__module__]
+    calls, searched = [], []
+    memoised, find = C._radical_product_search, C._find_radical_product
+
+    def count_calls(ctx, I, invertible=False):
+        calls.append(ctx.sys.label)
+        return memoised(ctx, I, invertible)
+
+    def count_searches(sys_, I, invertible):
+        searched.append((sys_.label, I.gens, invertible))
+        return find(sys_, I, invertible)
+
+    monkeypatch.setattr(C, "_radical_product_search", count_calls)
+    monkeypatch.setattr(C, "_find_radical_product", count_searches)
+    classify(numerical_monoid("gap23", (2, 3)))
+    assert len(calls) == 21
+    assert len(searched) == len(set(searched)) == 6
+    assert sorted(lbl for lbl, _, _ in searched) == ["s", "s", "t", "t",
+                                                     "w", "w"]
 
 
 def test_property_name_canonicalization(gap23):

@@ -62,6 +62,15 @@ def test_verify_suite_golden(specs):
     assert "almost Dedekind" in lines[1]
 
 
+def test_verify_grouped_suite_rows_show_the_id_once(specs):
+    # condition ids of a dual suite already carry their group letter
+    r = run_cli("verify", str(specs / "gap23.spec"), "--suite", "Thm4.3")
+    assert r.returncode == 0
+    rows = r.stdout.splitlines()[1:]
+    assert [row[:7] for row in rows] == [
+        "  (A1) ", "  (A2) ", "  (A3) ", "  (B1) ", "  (B2) ", "  (B3) "]
+
+
 def test_spectrum_golden(specs):
     r = run_cli("spectrum", str(specs / "n2.spec"))
     assert r.stdout.splitlines() == [

@@ -2,14 +2,15 @@
 
 import pytest
 
+import bruteforce as bf
 from idealis.factor import (Failure, PreconditionFailed, class_group_probe,
                             cofactor, divides_in_invertibles, is_invertible,
                             is_radical_in_invertibles, meager_check,
                             meager_factor, radical_closed_ideals,
                             radical_factor_principal, sp_factor,
                             support_witness)
-from idealis.ideals import (ideal_eq, ideal_from, ideal_intersect,
-                            ideal_subset, ideal_sum, radical, unit_ideal)
+from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
+                            radical, unit_ideal)
 from idealis.monoid import free_monoid
 from idealis.systems import close, closed_ideals, system
 
@@ -93,6 +94,20 @@ def test_radical_closed_ideals_are_radical_and_closed(certified):
             for J in fam:
                 assert ideal_eq(radical(J), J), (name, lbl, J.gens)
                 assert ideal_eq(close(sys, J), J), (name, lbl, J.gens)
+
+
+def test_antichain_enumeration_matches_subset_filter(certified):
+    """The antichain DFS returns what filtering every subset of supports
+    returns, on the named models and on free 1 to free 4."""
+    models = dict(certified)
+    models.update((f"free{d}", free_monoid(f"free{d}", d)) for d in range(1, 5))
+    for name, H in models.items():
+        for lbl in ("s", "t", "w"):
+            sys = system(lbl, H)
+            assert radical_closed_ideals(sys) == \
+                bf.radical_closed_by_filter(sys), (name, lbl)
+    # the Dedekind number 168 less the empty antichain and {emptyset}
+    assert len(radical_closed_ideals(system("s", models["free4"]))) == 166
 
 
 def test_radical_closed_family_matches_lattice_filter(n2):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from idealis.ideals import (Ideal, _trusted_ideal, empty_ideal, ideal_eq, ideal_from,
+from idealis.ideals import (_trusted_ideal, empty_ideal, ideal_eq, ideal_from,
                             ideal_intersect, ideal_power, ideal_subset,
                             ideal_sum, ideal_union, inverse, principal,
                             radical, shift, unit_ideal)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from idealis.monoid import (MonoidModel, contains, divides, free_monoid,
-                            group_monoid, localize, numerical_monoid,
-                            parse_monoid, product, to_text)
+                            localize, numerical_monoid, parse_monoid, product,
+                            to_text)
 
 
 def test_numerical_invariants(gap23, n345, n25):

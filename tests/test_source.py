@@ -64,3 +64,33 @@ def test_kernel_is_one_pure_module():
     assert (path.parent.name, path.name) == ("_kernel", "__init__.py")
     assert [p.name for p in path.parent.iterdir()
             if p.name != "__pycache__"] == ["__init__.py"]
+
+
+def _exported(tree) -> set:
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def test_no_unused_imports():
+    # every name an import binds is read in its module; exempt are the
+    # package's re-exports (relative imports in __init__.py), names listed
+    # in __all__ and __future__ features
+    files = sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        read |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__" \
+                    and not (path.name == "__init__.py" and node.level):
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                      for name in names if name not in read]
+    assert not found, found

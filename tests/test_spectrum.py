@@ -5,7 +5,7 @@ import time
 import pytest
 
 import bruteforce as bf
-from idealis.ideals import ideal_from, ideal_subset, unit_ideal
+from idealis.ideals import ideal_from, unit_ideal
 from idealis.monoid import free_monoid, group_monoid, localize, numerical_monoid
 from idealis.spectrum import (UncertifiedModel, height_one, is_dvm,
                               minimal_primes_over, primes, r_max,

@@ -10,7 +10,7 @@ import pytest
 import bruteforce as bf
 from idealis import _kernel as K
 from idealis import systems
-from idealis.ideals import ideal_eq, ideal_from, ideal_subset
+from idealis.ideals import ideal_from, ideal_subset
 from idealis.monoid import MonoidModel, free_monoid, parse_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
