@@ -201,6 +201,12 @@ def inverse_gens(pack, gens):
 
     Empty input means the empty ideal; its inverse is not finitely
     generated as a module and the caller must special-case it.
+
+    The module is the product of its coordinates' modules, and each
+    column is an increasing antichain of its coordinate ((0,) for a
+    group), so the product of the columns is already canonical: an
+    antichain in lex order (``docs/exactness.md``, "Coordinate
+    decomposition").
     """
     if not gens:
         raise ValueError("inverse of the empty module")
@@ -208,7 +214,9 @@ def inverse_gens(pack, gens):
     cols = [(0,) if m is None else
             _gens_1d(m, conds[i], frobs[i], tuple(a[i] for a in gens))
             for i, m in enumerate(pack[4])]
-    return reduce_gens(pack, product(*cols))
+    # through a list: a tuple built straight from an iterator keeps the
+    # larger block it grew in, and closure memos hold these tuples
+    return tuple(list(product(*cols)))
 
 
 def v_close_gens(pack, gens):

@@ -220,6 +220,15 @@ def _task(worker, args, text: str) -> tuple:
     return doc, dt
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one (a ``taskset`` or cpuset narrows it), else every
+    CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Worker processes for a batch: never more than the tasks or the CPUs."""
     return min(jobs, tasks, cpus)
@@ -234,7 +243,7 @@ def _run_models(specs, worker, args) -> list:
     """
     task = functools.partial(_task, worker, args)
     texts = [text for _, text in specs]
-    workers = _worker_count(args.jobs, len(texts), os.cpu_count() or 1)
+    workers = _worker_count(args.jobs, len(texts), _cpus())
     if workers <= 1:
         results = [task(text) for text in texts]
     else:
@@ -435,8 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (recorded in reports)")
     common.add_argument("--jobs", type=_at_least_one("jobs"),
-                        default=min(4, os.cpu_count() or 1),
-                        help="worker processes (default min(4, CPUs))")
+                        default=min(4, _cpus()),
+                        help="worker processes (default min(4, usable CPUs))")
 
     def inputs(p):
         p.add_argument("inputs", nargs="+", metavar="SPEC",

@@ -157,22 +157,31 @@ def ideal_eq(I: Ideal, J: Ideal) -> bool:
 
 
 def shift(I: Ideal, c) -> Ideal:
-    """Translate by c: the module c + I.
+    """Translate by c: the module c + I."""
+    H = I.monoid
+    c = tuple(c)
+    if len(c) != H.dim:
+        raise ValueError(f"shift {c} has dimension {len(c)} != {H.dim}")
+    for g in I.gens:
+        g = tuple(map(add, c, g))
+        if max(map(abs, g)) >= MAX_COORD:
+            raise ValueError(f"generator {g} exceeds the coordinate bound")
+    return _translate(I, c)
+
+
+def _translate(I: Ideal, c) -> Ideal:
+    """``shift`` for internal callers whose c is an int tuple of the
+    model's dimension that keeps every translated generator inside the
+    coordinate bound (a box member moving a closure of box samples, say).
+    Nothing is re-validated.
 
     Translation keeps divisibility and lexicographic order, so once the
     group coordinates are zeroed again the translated generators of a
     canonical ideal are canonical as they stand.
     """
     H = I.monoid
-    c = tuple(c)
-    if len(c) != H.dim:
-        raise ValueError(f"shift {c} has dimension {len(c)} != {H.dim}")
     keep = H.counting_mask
-    groups = 0 in keep
-    moved = []
-    for g in I.gens:
-        g = tuple(map(add, c, g))
-        if max(map(abs, g)) >= MAX_COORD:
-            raise ValueError(f"generator {g} exceeds the coordinate bound")
-        moved.append(tuple(map(mul, keep, g)) if groups else g)
-    return Ideal(H, tuple(moved))
+    if 0 in keep:
+        return Ideal(H, tuple([tuple(map(mul, keep, map(add, c, g)))
+                               for g in I.gens]))
+    return Ideal(H, tuple([tuple(map(add, c, g)) for g in I.gens]))

@@ -21,8 +21,8 @@ from math import prod
 from operator import add, mul
 
 from . import _kernel as K
-from .ideals import (Ideal, _trusted_ideal, ideal_eq, ideal_intersect,
-                     ideal_subset, ideal_union, shift, unit_ideal)
+from .ideals import (Ideal, _translate, _trusted_ideal, ideal_eq,
+                     ideal_intersect, ideal_subset, ideal_union, unit_ideal)
 from .monoid import MonoidModel
 
 
@@ -216,18 +216,45 @@ class CheckReport:
         }
 
 
-# The samplers draw from ``rng`` exactly as ``rng.choice(seq)``, which is
-# ``seq[rng._randbelow(len(seq))]``, and ``rng.randint(a, b)``, which is
-# ``a + rng._randbelow(b - a + 1)``, would: the same stream at the same seed,
-# without their per-draw argument handling.
+def _sampler(rng, members, box):
+    """The sampled checks' draws from ``rng``: ``below(n)``, uniform in
+    range(n), and ``sample(k)``, k generators drawn from H (integral
+    samples) or from the whole box (fractional ones), the pool chosen by
+    ``rng.random() < 0.5``.
 
-def _sample_gens(rng, members, box, k):
-    """k generators, drawn from H for integral samples or from the whole
-    box for fractional ones."""
-    pool = members if rng.random() < 0.5 else box
-    n = len(pool)
-    below = rng._randbelow
-    return tuple([pool[below(n)] for _ in range(k)])
+    ``below`` is ``random.Random._randbelow_with_getrandbits`` on
+    ``rng.getrandbits``, so ``pool[below(len(pool))]`` draws what
+    ``rng.choice(pool)`` draws and ``a + below(b - a + 1)`` what
+    ``rng.randint(a, b)`` does: the stream equals the ``choice``/``randint``
+    stream the checks were first written with, at the same seed, without
+    their per-draw Python-level calls.  ``test_sampler_draw_stream_is_pinned``
+    pins it.
+    """
+    getrandbits = rng.getrandbits
+    coin = rng.random
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    pools = [(pool, len(pool), len(pool).bit_length())
+             for pool in (members, box)]
+
+    def sample(k):
+        pool, n, bits = pools[0] if coin() < 0.5 else pools[1]
+        out = []
+        for _ in range(k):
+            # below(n), inlined: draws are most of the sweep's calls
+            r = getrandbits(bits)
+            while r >= n:
+                r = getrandbits(bits)
+            out.append(pool[r])
+        return tuple(out)
+
+    return below, sample
 
 
 def _check_samples(samples):
@@ -245,10 +272,9 @@ def _box_vectors(H: MonoidModel, radius: int):
 
 def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
     _check_samples(samples)
-    rng = random.Random(seed)
-    below = rng._randbelow
     members = H.enumerate(radius)
-    box = _box_vectors(H, radius)
+    below, sample = _sampler(random.Random(seed), members,
+                             _box_vectors(H, radius))
     pack = H.pack
     divisible_any = K.divisible_any
     failures = []
@@ -257,7 +283,7 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
         failures.append({"axiom": axiom, "system": label, **kw})
 
     for done in range(1, samples + 1):
-        gens = _sample_gens(rng, members, box, 1 + below(4))
+        gens = sample(1 + below(4))
         X = _trusted_ideal(gens, H)
         Xr = close_fn(X)
         # (A) extension: X + H inside the closure.
@@ -274,15 +300,15 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
         # (B) monotone closure, via idempotence plus monotonicity.
         if close_fn(Xr).gens != Xr.gens:
             fail("B", kind="idempotence", gens=[list(v) for v in gens])
-        extra = _sample_gens(rng, members, box, 1 + below(2))
+        extra = sample(1 + below(2))
         Y = _trusted_ideal(gens + extra, H)
         if not ideal_subset(Xr, close_fn(Y)):
             fail("B", kind="monotonicity", gens=[list(v) for v in gens],
                  extra=[list(v) for v in extra])
         # (C) translation equivariance.
         c = members[below(len(members))]
-        lhs = close_fn(shift(X, c))
-        rhs = shift(Xr, c)
+        lhs = close_fn(_translate(X, c))
+        rhs = _translate(Xr, c)
         if lhs.gens != rhs.gens:
             fail("C", shift=list(c), gens=[list(v) for v in gens])
         if failures:
@@ -308,14 +334,12 @@ def leq_check(p: System, r: System, samples: int, radius: int = 6,
         raise ValueError("systems bound to different monoids")
     _check_samples(samples)
     H = p.monoid
-    rng = random.Random(seed)
-    below = rng._randbelow
-    members = H.enumerate(radius)
-    box = _box_vectors(H, radius)
+    below, sample = _sampler(random.Random(seed), H.enumerate(radius),
+                             _box_vectors(H, radius))
     failures = []
     strict_witness = None
     for _ in range(samples):
-        gens = _sample_gens(rng, members, box, 1 + below(4))
+        gens = sample(1 + below(4))
         X = _trusted_ideal(gens, H)
         Xp, Xr = close(p, X), close(r, X)
         if not ideal_subset(Xp, Xr):

@@ -176,6 +176,15 @@ def test_jobs_never_change_bytes(specs):
             assert timed == order
 
 
+def test_cpus_follow_the_affinity_set(monkeypatch):
+    # one CPU allowed on a many-CPU host: the default pool is one worker
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    assert cli._cpus() == 1
+    assert cli._build_parser().parse_args(["analyze", "x"]).jobs == 1
+
+
 def test_worker_count_is_bounded():
     assert cli._worker_count(100000, 593, 2) == 2
     assert cli._worker_count(100000, 1, 64) == 1

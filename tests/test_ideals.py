@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce as bf
-from idealis.ideals import (_trusted_ideal, empty_ideal, ideal_eq, ideal_from,
-                            ideal_intersect, ideal_power, ideal_subset,
-                            ideal_sum, ideal_union, inverse, principal,
-                            radical, shift, unit_ideal)
+from idealis.ideals import (_translate, _trusted_ideal, empty_ideal,
+                            ideal_eq, ideal_from, ideal_intersect,
+                            ideal_power, ideal_subset, ideal_sum,
+                            ideal_union, inverse, principal, radical, shift,
+                            unit_ideal)
 from idealis.monoid import MAX_COORD, free_monoid, numerical_monoid
 from idealis.systems import _box_vectors
 
@@ -159,9 +160,10 @@ def test_json_shape(n2):
 
 @pytest.mark.parametrize("name", ["gap23", "g23xn", "g23xz", "nxz", "z2"])
 def test_trusted_paths_match_validating(named, name):
-    """The trusted constructor and ``shift`` skip validation and the final
-    reduction; on random box samples (the sampled checkers' own pools) both
-    must give exactly what ``ideal_from`` gives."""
+    """The trusted constructor and the translations skip the final
+    reduction, and ``_translate`` validation too; on random box samples (the
+    sampled checkers' own pools) each must give exactly what ``ideal_from``
+    gives."""
     H = named[name]
     rng = random.Random(name)
     members, box = H.enumerate(4), _box_vectors(H, 4)
@@ -176,6 +178,7 @@ def test_trusted_paths_match_validating(named, name):
         moved_group += any(c[i] for i in group)
         translates = [tuple(x + y for x, y in zip(c, g)) for g in I.gens]
         assert shift(I, c).gens == ideal_from(translates, H).gens
+        assert _translate(I, c).gens == shift(I, c).gens
     assert moved_group or not group
 
 

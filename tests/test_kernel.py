@@ -78,6 +78,29 @@ def test_intersect_and_sum_match_grid_oracle(certified):
     assert {"nxz", "g23xz", "z2"} <= set(certified)
 
 
+def test_inverse_is_canonical(certified):
+    """``inverse_gens`` returns the product of its per-coordinate lists
+    without a reduction; the product must be canonical as it stands:
+    sorted, duplicate-free, an antichain, and fixed by ``reduce_gens``.
+    The inverse of each inverse is checked too, which is the v-closure."""
+    rng = random.Random(61)
+    models = dict(certified, free3=free_monoid("free3", 3))
+    for name, H in models.items():
+        pack, keep = H.pack, H.counting_mask
+        for _ in range(25):
+            gens = K.reduce_gens(pack, tuple(
+                tuple(k * rng.randint(-6, 24) for k in keep)
+                for _ in range(rng.randint(1, 5))))
+            inv = K.inverse_gens(pack, gens)
+            for out in (inv, K.inverse_gens(pack, inv)):
+                assert list(out) == sorted(set(out)), (name, gens, out)
+                assert not any(K.divides(pack, a, b)
+                               for a in out for b in out if a != b), \
+                    (name, gens, out)
+                assert out == K.reduce_gens(pack, out), (name, gens, out)
+    assert {"nxz", "g23xz", "n3"} <= set(models)
+
+
 def _close_cases(H, faces, rng, rounds, most=4, span=6):
     keep = H.counting_mask
     for _ in range(rounds):
