@@ -256,20 +256,25 @@ def radical_gens(pack, gens):
 
     x lies in the radical iff x strictly exceeds zero on the counting
     support of some generator; the radical is the union of the support
-    cells of the minimal supports, each generated by a cartesian product
-    of atoms.
+    cells of the minimal supports.
     """
     if not gens:
         return ()
-    d = len(pack[0])
-    supps = set()
-    for a in gens:
-        supps.add(frozenset(i for i in range(d) if pack[0][i] == 0 and a[i] > 0))
-    mins = [s for s in supps if not any(t < s for t in supps)]
+    counting = [i for i, kind in enumerate(pack[0]) if not kind]
+    supps = {frozenset(i for i in counting if a[i] > 0) for a in gens}
+    return cells_gens(pack, [s for s in supps
+                             if not any(t < s for t in supps)])
+
+
+def cells_gens(pack, supports):
+    """Generators of the union of the support cells {x : supp(x) contains S},
+    S over ``supports`` (sets of counting coordinates).  A cell is generated
+    by the products of atoms over S, zero elsewhere."""
+    atoms = pack[5]
     acc = []
-    for s in mins:
-        cols = [pack[5][i] if i in s else (0,) for i in range(d)]
-        acc.extend(product(*cols))
+    for s in supports:
+        acc.extend(product(*[a if i in s else (0,)
+                             for i, a in enumerate(atoms)]))
     return reduce_gens(pack, acc)
 
 

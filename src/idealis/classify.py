@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from . import _kernel as K
 from .factor import (
     _POWER_CAP,
-    _cell_gens,
     Failure,
     class_group_probe,
     invertible_radicals,
@@ -272,7 +271,8 @@ class PropertyContext:
             cnt = sorted(H.counting)
             for m in range(1, len(cnt) + 1):
                 for S in itertools.combinations(cnt, m):
-                    out.append((frozenset(S), ideal_from(_cell_gens(H, S), H)))
+                    out.append((frozenset(S),
+                                Ideal(H, K.cells_gens(H.pack, [S]))))
             out.sort(key=lambda sc: sc[1].gens)
             got = self.sys._cache["cells"] = tuple(out)
         return got
@@ -334,11 +334,11 @@ def _pair_witness(ctx: PropertyContext, k: int) -> Ideal:
                       H)
 
 
-def _is_power_of(sys: System, I: Ideal, R: Ideal, cap: int = _POWER_CAP):
+def _is_power_of(sys: System, I: Ideal, R: Ideal):
     """The k with (R^k)_r = I, or None.  Powers only shrink, so the scan
     stops as soon as I escapes the current power."""
     cur = R
-    for k in range(1, cap + 1):
+    for k in range(1, _POWER_CAP + 1):
         if ideal_eq(cur, I):
             return k
         if not ideal_subset(I, cur):
@@ -1079,7 +1079,11 @@ class Condition:
     witness: object = None
     note: str = ""
     vacuous: bool = False
-    group: str = ""
+
+    @property
+    def group(self) -> str:
+        """Conditions that must agree share a group: the id's letters."""
+        return self.cid.rstrip("0123456789")
 
     def to_json(self) -> dict:
         return {
@@ -1113,7 +1117,7 @@ class TfaeReport:
         }
 
 
-def _eval_conjunction(H, radius, cid, text, conjuncts, group=""):
+def _eval_conjunction(H, radius, cid, text, conjuncts):
     """Conjuncts are evaluated in listed order and the first exact false
     wins; an unknown is only reported when nothing later refutes."""
     vac = False
@@ -1122,15 +1126,15 @@ def _eval_conjunction(H, radius, cid, text, conjuncts, group=""):
         v = PropertyContext(H, system(lbl, H), radius).prop(prop)
         if v.verdict == FALSE:
             return Condition(cid, text, FALSE, v.witness,
-                             note=f"{lbl}:{prop}: {v.note}", group=group)
+                             note=f"{lbl}:{prop}: {v.note}")
         if v.verdict == UNKNOWN and pending is None:
             pending = (lbl, prop, v)
         vac = vac or v.vacuous
     if pending is not None:
         lbl, prop, v = pending
         return Condition(cid, text, UNKNOWN,
-                         note=f"{lbl}:{prop}: {v.note}", group=group)
-    return Condition(cid, text, TRUE, vacuous=vac, group=group)
+                         note=f"{lbl}:{prop}: {v.note}")
+    return Condition(cid, text, TRUE, vacuous=vac)
 
 
 def _cond_powers_at_height_one(H, radius):
@@ -1176,212 +1180,180 @@ def _post_cor38(H, radius, conds):
     return f"closure identity verified on {n} generator sets"
 
 
-# Condition rows: (id, text, body, group); body is a conjunct list, a
-# callable, or the via-equivalents marker with the ids it averages over.
+# Condition rows: (id, text, body); body is a conjunct list, a callable, or
+# the via-equivalents marker with the ids it averages over.  Rows whose ids
+# share their letters (none, or "A" in "A1") must agree.
 SUITES = {
-    "Thm4.2": {
-        "conditions": [
-            ("1", "almost Dedekind with the SP property",
-             [("t", "almost_dedekind"), ("t", "sp")], ""),
-            ("2", "finite conductor and principal ideals factor into "
-                  "radical closed ideals",
-             [("t", "finite_conductor"), ("t", "principal_radical_product")],
-             ""),
-            ("3", "closed ideals factor into pairwise comparable radical "
-                  "closed ideals",
-             [("t", "closed_comparable_radical_product")], ""),
-            ("4", "radicals of principal ideals are invertible",
-             [("t", "radical_principal_invertible")], ""),
-        ],
-    },
-    "Cor4.4": {
-        "conditions": [
-            ("1", "almost Dedekind with the SP property",
-             [("t", "almost_dedekind"), ("t", "sp")], ""),
-            ("2", "SP property for the modularization",
-             [("w", "sp")], ""),
-            ("3", "finite conductor and principal ideals factor into "
-                  "radical ideals of the modularization",
-             [("w", "finite_conductor"), ("w", "principal_radical_product")],
-             ""),
-            ("4", "ideals closed for the modularization factor into "
-                  "pairwise comparable radical ideals",
-             [("w", "closed_comparable_radical_product")], ""),
-            ("5", "radicals of principal ideals are invertible for the "
-                  "modularization",
-             [("w", "radical_principal_invertible")], ""),
-        ],
-    },
-    "Cor4.5": {
-        "conditions": [
-            ("1", "Bezout with the SP property",
-             [("t", "bezout"), ("t", "sp")], ""),
-            ("2", "Bezout with the SP property for the modularization",
-             [("w", "bezout"), ("w", "sp")], ""),
-            ("3", "radicals of principal ideals are principal",
-             [("t", "radical_principal_principal")], ""),
-            ("4", "principal ideals factor into pairwise comparable "
-                  "radical principal ideals",
-             [("t", "principal_comparable_radical_principal_product")], ""),
-        ],
-    },
-    "Thm3.9": {
-        "conditions": [
-            ("1", "almost Dedekind with the SP property",
-             [("t", "almost_dedekind"), ("t", "sp")], ""),
-            ("2", "treed spectrum and closed primes contain invertible "
-                  "radical closed ideals",
-             [("t", "treed"), ("t", "primes_contain_invertible_radical")],
-             ""),
-            ("3", "prime power condition, primary inclusive, and closed "
-                  "primes contain invertible radical closed ideals",
-             [("t", "ppc"), ("t", "primary_inclusive"),
-              ("t", "primes_contain_invertible_radical")], ""),
-            ("4", "radical closed finitely generated ideals are invertible",
-             [("t", "radical_fg_invertible")], ""),
-            ("5", "radicals of principal ideals are invertible and minimal "
-                  "primes of finitely generated closed ideals have height "
-                  "one",
-             [("t", "radical_principal_invertible"),
-              ("t", "min_primes_fg_height_one")], ""),
-        ],
-    },
-    "Thm3.10": {
-        "conditions": [
-            ("1", "Bezout with the SP property",
-             [("t", "bezout"), ("t", "sp")], ""),
-            ("2", "radical factorial and Bezout",
-             [("t", "radical_factorial"), ("t", "bezout")], ""),
-            ("3", "treed spectrum, closed primes contain radical elements, "
-                  "and the class group is trivial",
-             [("t", "treed"), ("t", "primes_contain_radical_principal"),
-              ("t", "class_group_trivial")], ""),
-            ("4", "prime power condition, primary inclusive, and radicals "
-                  "of principal ideals are principal",
-             [("t", "ppc"), ("t", "primary_inclusive"),
-              ("t", "radical_principal_principal")], ""),
-            ("5", "treed spectrum and radicals of principal ideals are "
-                  "principal",
-             [("t", "treed"), ("t", "radical_principal_principal")], ""),
-            ("6", "radicals of principal ideals are principal and minimal "
-                  "primes of finitely generated closed ideals have height "
-                  "one",
-             [("t", "radical_principal_principal"),
-              ("t", "min_primes_fg_height_one")], ""),
-            ("7", "radical closed finitely generated ideals are principal",
-             [("t", "radical_fg_principal")], ""),
-        ],
-    },
-    "Prop3.6": {
-        "conditions": [
-            ("1", "almost Dedekind",
-             [("t", "almost_dedekind")], ""),
-            ("2", "strong prime power condition and cancellative ideal "
-                  "multiplication",
-             [("t", "strong_ppc"), ("t", "cancellative")], ""),
-            ("3", "ideals with height-one prime radical are powers of it "
-                  "and powers are half-cancellative",
-             _cond_powers_at_height_one, ""),
-            ("4", "treed spectrum with the strong prime power condition",
-             [("t", "treed"), ("t", "strong_ppc")], ""),
-            ("5", "strong prime power condition for a modular system",
-             [("t", "strong_ppc"), ("t", "modular_system")], ""),
-            ("6", "maximal closed primes have height one and the prime "
-                  "power condition holds",
-             [("t", "max_eq_height_one"), ("t", "ppc")], ""),
-            ("7", "prime power condition, principal ideal theorem, and "
-                  "primary inclusive",
-             [("t", "ppc"), ("t", "pit"), ("t", "primary_inclusive")], ""),
-        ],
-    },
-    "Prop5.2": {
-        "conditions": [
-            ("1", "invertible closed ideals factor into invertible radical "
-                  "closed ideals",
-             [("t", "invertibles_radical_factorial")], ""),
-            ("2", "invertible closed ideals factor into radical closed "
-                  "ideals",
-             [("t", "invertible_radical_product")], ""),
-            ("3", "H is the intersection of its localizations at "
-                  "height-one primes, those are discrete valuation "
-                  "monoids, and radicals of invertibles are meager "
-                  "intersections",
-             [("t", "intersection_localizations"),
-              ("t", "localizations_dvm"),
-              ("t", "meager_radical_intersections")], ""),
-        ],
-    },
-    "Cor5.3": {
-        "conditions": [
-            ("1", "almost Dedekind with the SP property",
-             [("t", "almost_dedekind"), ("t", "sp")], ""),
-            ("2", "Pruefer and invertible closed ideals factor into "
-                  "invertible radical closed ideals",
-             [("t", "prufer"), ("t", "invertibles_radical_factorial")], ""),
-        ],
-    },
-    "Cor4.6": {
-        "conditions": [
-            ("1", "factorial",
-             [("t", "factorial")], ""),
-            ("2", "radicals of principal ideals are principal with the "
-                  "ascending chain condition on radical principal ideals",
-             [("t", "radical_principal_principal"),
-              ("t", "acc_radical_principal")], ""),
-        ],
-    },
-    "Prop5.4": {
-        "conditions": [
-            ("1", "principal ideals factor into pairwise comparable "
-                  "radical closed ideals",
-             [("t", "principal_comparable_radical_product")], ""),
-            ("2", "radicals of principal ideals are invertible",
-             [("t", "radical_principal_invertible")], ""),
-            ("3", "radicals of invertible closed ideals are invertible",
-             [("t", "radical_invertible_invertible")], ""),
-            ("4", "consensus of the invertibility conditions",
-             ("via", ("2", "3", "5")), ""),
-            ("5", "invertible closed ideals factor into pairwise "
-                  "comparable radical closed ideals",
-             [("t", "invertible_comparable_radical_product")], ""),
-        ],
-    },
-    "Cor3.8": {
-        "conditions": [
-            ("1", "almost Dedekind",
-             [("t", "almost_dedekind")], ""),
-            ("2", "almost Dedekind for the modularization",
-             [("w", "almost_dedekind")], ""),
-            ("3", "maximal closed primes of the modularization have height "
-                  "one and its prime power condition holds",
-             [("w", "max_eq_height_one"), ("w", "ppc")], ""),
-            ("4", "strong prime power condition for the modularization",
-             [("w", "strong_ppc")], ""),
-            ("5", "prime power condition for the modularization and the "
-                  "principal ideal theorem",
-             [("w", "ppc"), ("t", "pit")], ""),
-        ],
-        "post": _post_cor38,
-    },
-    "Thm4.3": {
-        "conditions": [
-            ("A1", "almost Dedekind with the SP property",
-             [("t", "almost_dedekind"), ("t", "sp")], "A"),
-            ("A2", "maximal closed primes are the t-maximal ones and "
-                   "radicals of principal ideals are invertible",
-             [("t", "max_eq_t_max"), ("t", "radical_principal_invertible")],
-             "A"),
-            ("A3", "SP property for the modularization",
-             [("w", "sp")], "A"),
-            ("B1", "Bezout with the SP property",
-             [("t", "bezout"), ("t", "sp")], "B"),
-            ("B2", "radicals of principal ideals are principal",
-             [("t", "radical_principal_principal")], "B"),
-            ("B3", "Bezout with the SP property for the modularization",
-             [("w", "bezout"), ("w", "sp")], "B"),
-        ],
-    },
+    "Thm4.2": [
+        ("1", "almost Dedekind with the SP property",
+         [("t", "almost_dedekind"), ("t", "sp")]),
+        ("2", "finite conductor and principal ideals factor into "
+              "radical closed ideals",
+         [("t", "finite_conductor"), ("t", "principal_radical_product")]),
+        ("3", "closed ideals factor into pairwise comparable radical "
+              "closed ideals",
+         [("t", "closed_comparable_radical_product")]),
+        ("4", "radicals of principal ideals are invertible",
+         [("t", "radical_principal_invertible")]),
+    ],
+    "Cor4.4": [
+        ("1", "almost Dedekind with the SP property",
+         [("t", "almost_dedekind"), ("t", "sp")]),
+        ("2", "SP property for the modularization", [("w", "sp")]),
+        ("3", "finite conductor and principal ideals factor into "
+              "radical ideals of the modularization",
+         [("w", "finite_conductor"), ("w", "principal_radical_product")]),
+        ("4", "ideals closed for the modularization factor into "
+              "pairwise comparable radical ideals",
+         [("w", "closed_comparable_radical_product")]),
+        ("5", "radicals of principal ideals are invertible for the "
+              "modularization",
+         [("w", "radical_principal_invertible")]),
+    ],
+    "Cor4.5": [
+        ("1", "Bezout with the SP property", [("t", "bezout"), ("t", "sp")]),
+        ("2", "Bezout with the SP property for the modularization",
+         [("w", "bezout"), ("w", "sp")]),
+        ("3", "radicals of principal ideals are principal",
+         [("t", "radical_principal_principal")]),
+        ("4", "principal ideals factor into pairwise comparable "
+              "radical principal ideals",
+         [("t", "principal_comparable_radical_principal_product")]),
+    ],
+    "Thm3.9": [
+        ("1", "almost Dedekind with the SP property",
+         [("t", "almost_dedekind"), ("t", "sp")]),
+        ("2", "treed spectrum and closed primes contain invertible "
+              "radical closed ideals",
+         [("t", "treed"), ("t", "primes_contain_invertible_radical")]),
+        ("3", "prime power condition, primary inclusive, and closed "
+              "primes contain invertible radical closed ideals",
+         [("t", "ppc"), ("t", "primary_inclusive"),
+          ("t", "primes_contain_invertible_radical")]),
+        ("4", "radical closed finitely generated ideals are invertible",
+         [("t", "radical_fg_invertible")]),
+        ("5", "radicals of principal ideals are invertible and minimal "
+              "primes of finitely generated closed ideals have height "
+              "one",
+         [("t", "radical_principal_invertible"),
+          ("t", "min_primes_fg_height_one")]),
+    ],
+    "Thm3.10": [
+        ("1", "Bezout with the SP property", [("t", "bezout"), ("t", "sp")]),
+        ("2", "radical factorial and Bezout",
+         [("t", "radical_factorial"), ("t", "bezout")]),
+        ("3", "treed spectrum, closed primes contain radical elements, "
+              "and the class group is trivial",
+         [("t", "treed"), ("t", "primes_contain_radical_principal"),
+          ("t", "class_group_trivial")]),
+        ("4", "prime power condition, primary inclusive, and radicals "
+              "of principal ideals are principal",
+         [("t", "ppc"), ("t", "primary_inclusive"),
+          ("t", "radical_principal_principal")]),
+        ("5", "treed spectrum and radicals of principal ideals are "
+              "principal",
+         [("t", "treed"), ("t", "radical_principal_principal")]),
+        ("6", "radicals of principal ideals are principal and minimal "
+              "primes of finitely generated closed ideals have height "
+              "one",
+         [("t", "radical_principal_principal"),
+          ("t", "min_primes_fg_height_one")]),
+        ("7", "radical closed finitely generated ideals are principal",
+         [("t", "radical_fg_principal")]),
+    ],
+    "Prop3.6": [
+        ("1", "almost Dedekind", [("t", "almost_dedekind")]),
+        ("2", "strong prime power condition and cancellative ideal "
+              "multiplication",
+         [("t", "strong_ppc"), ("t", "cancellative")]),
+        ("3", "ideals with height-one prime radical are powers of it "
+              "and powers are half-cancellative",
+         _cond_powers_at_height_one),
+        ("4", "treed spectrum with the strong prime power condition",
+         [("t", "treed"), ("t", "strong_ppc")]),
+        ("5", "strong prime power condition for a modular system",
+         [("t", "strong_ppc"), ("t", "modular_system")]),
+        ("6", "maximal closed primes have height one and the prime "
+              "power condition holds",
+         [("t", "max_eq_height_one"), ("t", "ppc")]),
+        ("7", "prime power condition, principal ideal theorem, and "
+              "primary inclusive",
+         [("t", "ppc"), ("t", "pit"), ("t", "primary_inclusive")]),
+    ],
+    "Prop5.2": [
+        ("1", "invertible closed ideals factor into invertible radical "
+              "closed ideals",
+         [("t", "invertibles_radical_factorial")]),
+        ("2", "invertible closed ideals factor into radical closed "
+              "ideals",
+         [("t", "invertible_radical_product")]),
+        ("3", "H is the intersection of its localizations at "
+              "height-one primes, those are discrete valuation "
+              "monoids, and radicals of invertibles are meager "
+              "intersections",
+         [("t", "intersection_localizations"),
+          ("t", "localizations_dvm"),
+          ("t", "meager_radical_intersections")]),
+    ],
+    "Cor5.3": [
+        ("1", "almost Dedekind with the SP property",
+         [("t", "almost_dedekind"), ("t", "sp")]),
+        ("2", "Pruefer and invertible closed ideals factor into "
+              "invertible radical closed ideals",
+         [("t", "prufer"), ("t", "invertibles_radical_factorial")]),
+    ],
+    "Cor4.6": [
+        ("1", "factorial", [("t", "factorial")]),
+        ("2", "radicals of principal ideals are principal with the "
+              "ascending chain condition on radical principal ideals",
+         [("t", "radical_principal_principal"),
+          ("t", "acc_radical_principal")]),
+    ],
+    "Prop5.4": [
+        ("1", "principal ideals factor into pairwise comparable "
+              "radical closed ideals",
+         [("t", "principal_comparable_radical_product")]),
+        ("2", "radicals of principal ideals are invertible",
+         [("t", "radical_principal_invertible")]),
+        ("3", "radicals of invertible closed ideals are invertible",
+         [("t", "radical_invertible_invertible")]),
+        ("4", "consensus of the invertibility conditions",
+         ("via", ("2", "3", "5"))),
+        ("5", "invertible closed ideals factor into pairwise "
+              "comparable radical closed ideals",
+         [("t", "invertible_comparable_radical_product")]),
+    ],
+    "Cor3.8": [
+        ("1", "almost Dedekind", [("t", "almost_dedekind")]),
+        ("2", "almost Dedekind for the modularization",
+         [("w", "almost_dedekind")]),
+        ("3", "maximal closed primes of the modularization have height "
+              "one and its prime power condition holds",
+         [("w", "max_eq_height_one"), ("w", "ppc")]),
+        ("4", "strong prime power condition for the modularization",
+         [("w", "strong_ppc")]),
+        ("5", "prime power condition for the modularization and the "
+              "principal ideal theorem",
+         [("w", "ppc"), ("t", "pit")]),
+    ],
+    "Thm4.3": [
+        ("A1", "almost Dedekind with the SP property",
+         [("t", "almost_dedekind"), ("t", "sp")]),
+        ("A2", "maximal closed primes are the t-maximal ones and "
+               "radicals of principal ideals are invertible",
+         [("t", "max_eq_t_max"), ("t", "radical_principal_invertible")]),
+        ("A3", "SP property for the modularization", [("w", "sp")]),
+        ("B1", "Bezout with the SP property", [("t", "bezout"), ("t", "sp")]),
+        ("B2", "radicals of principal ideals are principal",
+         [("t", "radical_principal_principal")]),
+        ("B3", "Bezout with the SP property for the modularization",
+         [("w", "bezout"), ("w", "sp")]),
+    ],
 }
+
+# Checks run over a suite's conditions once they are decided; each returns
+# the suite's note.
+_POSTS = {"Cor3.8": _post_cor38}
 
 
 def suite_names() -> tuple:
@@ -1406,29 +1378,25 @@ def tfae_suite(H: MonoidModel, suite: str, radius: int = 8) -> TfaeReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of "
                          f"{', '.join(SUITES)}")
-    rows = SUITES[suite]["conditions"]
     conds: list = []
     deferred: list = []
-    for cid, text, body, group in rows:
+    for cid, text, body in SUITES[suite]:
         if isinstance(body, tuple) and body and body[0] == "via":
-            deferred.append((len(conds), cid, text, body[1], group))
+            deferred.append((len(conds), cid, text, body[1]))
             conds.append(None)
         elif callable(body):
             verdict, witness, note, vac = body(H, radius)
             conds.append(Condition(cid, text, verdict, witness, note,
-                                   vacuous=vac, group=group))
+                                   vacuous=vac))
         else:
-            conds.append(_eval_conjunction(H, radius, cid, text, body, group))
-    for pos, cid, text, deps, group in deferred:
+            conds.append(_eval_conjunction(H, radius, cid, text, body))
+    for pos, cid, text, deps in deferred:
         got = {c.cid: c.verdict for c in conds if c is not None}
         vals = {got[d] for d in deps}
         verdict = vals.pop() if len(vals) == 1 else UNKNOWN
-        conds[pos] = Condition(cid, text, verdict, note="via-equivalents",
-                               group=group)
-    note = ""
-    post = SUITES[suite].get("post")
-    if post is not None:
-        note = post(H, radius, conds)
+        conds[pos] = Condition(cid, text, verdict, note="via-equivalents")
+    post = _POSTS.get(suite)
+    note = "" if post is None else post(H, radius, conds)
     pools: dict = {}
     for c in conds:
         pools.setdefault(c.group, set()).add(c.verdict)

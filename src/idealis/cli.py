@@ -24,7 +24,7 @@ from .classify import classify, suite_battery, suite_names
 from .factor import radical_factor_principal, sp_factor
 from .ideals import ideal_from
 from .monoid import MonoidModel, parse_monoid
-from .spectrum import UncertifiedModel, spectrum_json
+from .spectrum import spectrum_json
 from .systems import axioms_check, close, system
 
 AXIOM_SAMPLES = 200
@@ -107,10 +107,12 @@ def _check_element_dim(gens, H: MonoidModel) -> None:
 
 
 # Per-monoid workers.  Each returns its report dict; the exit status is
-# read off the reports (see _failed).
+# read off the reports (see _failed).  A worker that builds a system first
+# degrades on an uncertified model.
 
-def _uncertified_report(H: MonoidModel, exc) -> dict:
-    return {"monoid": H.name, "certified": False, "note": str(exc)}
+def _uncertified_report(H: MonoidModel, what: str) -> dict:
+    return {"monoid": H.name, "certified": False,
+            "note": f"{H.name}: {what} needs a certified product model"}
 
 
 def _cmd_analyze(H: MonoidModel, args) -> dict:
@@ -126,14 +128,11 @@ def _cmd_analyze(H: MonoidModel, args) -> dict:
 def _cmd_closure(H: MonoidModel, args) -> dict:
     _check_element_dim(args.element, H)
     if not H.certified:
-        return _uncertified_report(
-            H, f"{H.name}: ideal arithmetic needs a certified product model")
+        return _uncertified_report(H, "ideal arithmetic")
     try:
         sysH = system(args.system, H)
         X = ideal_from(args.element, H)
         closed = close(sysH, X)
-    except UncertifiedModel as exc:
-        return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
     return {
@@ -149,8 +148,7 @@ def _cmd_closure(H: MonoidModel, args) -> dict:
 def _cmd_factor(H: MonoidModel, args) -> dict:
     _check_element_dim(args.element, H)
     if not H.certified:
-        return _uncertified_report(
-            H, f"{H.name}: ideal arithmetic needs a certified product model")
+        return _uncertified_report(H, "ideal arithmetic")
     try:
         sysH = system(args.system, H)
         if len(args.element) == 1 and sysH.label == "t":
@@ -158,8 +156,6 @@ def _cmd_factor(H: MonoidModel, args) -> dict:
         else:
             target = close(sysH, ideal_from(args.element, H))
             result = sp_factor(target, sysH)
-    except UncertifiedModel as exc:
-        return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
     return {
@@ -173,37 +169,27 @@ def _cmd_factor(H: MonoidModel, args) -> dict:
 
 
 def _cmd_spectrum(H: MonoidModel, args) -> dict:
+    if not H.certified:
+        return _uncertified_report(H, "exact spectrum")
     try:
         sysH = system(args.system, H)
         body = spectrum_json(H, sysH)
-    except UncertifiedModel as exc:
-        return _uncertified_report(H, exc)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
     return {"monoid": H.name, "certified": True, "system": sysH.label, **body}
 
 
 def _cmd_verify(H: MonoidModel, args) -> dict:
+    if not H.certified:
+        return _uncertified_report(H, "exact spectrum")
     names = (args.suite,) if args.suite else None
-    try:
-        battery = suite_battery(H, args.radius, names)
-    except UncertifiedModel as exc:
-        return _uncertified_report(H, exc)
     return {
         "monoid": H.name,
         "certified": True,
         "radius": args.radius,
-        "suites": {name: rep.to_json() for name, rep in battery.items()},
+        "suites": {name: rep.to_json() for name, rep
+                   in suite_battery(H, args.radius, names).items()},
     }
-
-
-_WORKERS = {
-    "analyze": _cmd_analyze,
-    "closure": _cmd_closure,
-    "factor": _cmd_factor,
-    "spectrum": _cmd_spectrum,
-    "verify": _cmd_verify,
-}
 
 
 def _task(worker, args, text: str) -> tuple:
@@ -269,7 +255,8 @@ def _failed(doc: dict, strict: bool) -> bool:
             or any(not a["ok"] for a in doc.get("axioms", {}).values()))
 
 
-# Text rendering, one compact block per report.
+# Text rendering: each subcommand's block yields the lines of one
+# report; _render writes the line of an uncertified one.
 
 def _verdict_counts(table: dict) -> str:
     counts = {"true": 0, "false": 0, "unknown-beyond-radius": 0}
@@ -290,115 +277,100 @@ def _suite_digest(suite: dict) -> str:
     return overall if suite["agreement"] else f"{overall} DISAGREE"
 
 
-def _text_analyze(doc, lines) -> None:
-    name = doc["monoid"]
-    if not doc["certified"]:
-        lines.append(f"{name}: uncertified ({doc.get('note', '')})")
-        return
-    lines.append(f"{name}: certified, radius {doc['radius']}")
+def _text_analyze(doc):
+    yield f"{doc['monoid']}: certified, radius {doc['radius']}"
     ax = doc.get("axioms", {})
     if ax:
-        lines.append("  axioms: " + "  ".join(
-            f"{lbl} {'ok' if ax[lbl]['ok'] else 'FAIL'}" for lbl in sorted(ax)))
+        yield "  axioms: " + "  ".join(
+            f"{lbl} {'ok' if ax[lbl]['ok'] else 'FAIL'}" for lbl in sorted(ax))
     for lbl in ("s", "w", "t"):
-        lines.append(f"  {lbl}-matrix: {_verdict_counts(doc['systems'][lbl])}")
+        yield f"  {lbl}-matrix: {_verdict_counts(doc['systems'][lbl])}"
     suites = doc["suites"]
-    lines.append("  suites: " + "  ".join(
-        f"{n}={_suite_digest(suites[n])}" for n in sorted(suites)))
+    yield "  suites: " + "  ".join(
+        f"{n}={_suite_digest(suites[n])}" for n in sorted(suites))
     heights = ",".join(str(p["height"]) for p in doc["spectrum"]["primes"])
-    lines.append(f"  primes: {len(doc['spectrum']['primes'])} (heights {heights})")
+    yield f"  primes: {len(doc['spectrum']['primes'])} (heights {heights})"
 
 
-def _text_verify(doc, lines) -> None:
-    name = doc["monoid"]
-    if not doc["certified"]:
-        lines.append(f"{name}: uncertified ({doc.get('note', '')})")
-        return
+def _text_verify(doc):
     for suite_name in sorted(doc["suites"]):
         suite = doc["suites"][suite_name]
         head = "agreement" if suite["agreement"] else "DISAGREEMENT"
-        lines.append(f"{name} {suite_name}: {head}")
+        yield f"{doc['monoid']} {suite_name}: {head}"
         for cond in suite["conditions"]:
             row = f"  ({cond['id']}) {cond['verdict']:22s} {cond['text']}"
             notes = [n for n in (cond["note"],
                                  "vacuous" if cond["vacuous"] else "") if n]
             if notes:
                 row += f"  [{'; '.join(notes)}]"
-            lines.append(row)
+            yield row
 
 
 def _gens_str(ideal_doc) -> str:
     return "; ".join(",".join(str(x) for x in g) for g in ideal_doc["gens"])
 
 
-def _text_generic(command, doc, lines) -> None:
-    name = doc["monoid"]
-    if not doc["certified"]:
-        lines.append(f"{name}: uncertified ({doc.get('note', '')})")
+def _text_closure(doc):
+    status = "already closed" if doc["already_closed"] else "grew"
+    yield (f"{doc['monoid']} {doc['system']}-closure: "
+           f"[{_gens_str(doc['closed'])}] ({status})")
+
+
+def _text_factor(doc):
+    res = doc["result"]
+    if doc["ok"]:
+        chain = " | ".join(f"[{_gens_str(f)}]" for f in res["factors"])
+        yield f"{doc['monoid']} {doc['system']}-chain: {chain or '[unit]'}"
         return
-    if command == "closure":
-        status = "already closed" if doc["already_closed"] else "grew"
-        lines.append(f"{name} {doc['system']}-closure: "
-                     f"[{_gens_str(doc['closed'])}] ({status})")
-    elif command == "factor":
-        if doc["ok"]:
-            chain = " | ".join(f"[{_gens_str(f)}]"
-                               for f in doc["result"]["factors"])
-            lines.append(f"{name} {doc['system']}-chain: {chain or '[unit]'}")
-        else:
-            res = doc["result"]
-            msg = f"{name}: no factorization ({res['failure']})"
-            if "witness" in res:
-                msg += f" witness [{_gens_str(res['witness'])}]"
-            lines.append(msg)
-    elif command == "spectrum":
-        lbl = doc["system"]
-        for p in doc["primes"]:
-            face = "{" + ",".join(str(i) for i in p["face"]) + "}"
-            flags = [f"height {p['height']}"]
-            if p[f"{lbl}_ideal"]:
-                flags.append(f"{lbl}-closed")
-            if p[f"{lbl}_max"]:
-                flags.append(f"{lbl}-max")
-            lines.append(f"{name} prime {face}: {', '.join(flags)}")
+    msg = f"{doc['monoid']}: no factorization ({res['failure']})"
+    if "witness" in res:
+        msg += f" witness [{_gens_str(res['witness'])}]"
+    yield msg
+
+
+def _text_spectrum(doc):
+    lbl = doc["system"]
+    for p in doc["primes"]:
+        face = "{" + ",".join(str(i) for i in p["face"]) + "}"
+        flags = [f"height {p['height']}"]
+        if p[f"{lbl}_ideal"]:
+            flags.append(f"{lbl}-closed")
+        if p[f"{lbl}_max"]:
+            flags.append(f"{lbl}-max")
+        yield f"{doc['monoid']} prime {face}: {', '.join(flags)}"
+
+
+def _text_corpus(row):
+    yield (f"{row['name']:14s} {row['family']:12s} "
+           f"{'certified' if row['certified'] else 'uncertified'}")
 
 
 def _render(command, args, reports) -> str:
-    config = _config_echo(command, args)
-    doc = report_mod.envelope(__version__, command, config, reports)
+    doc = report_mod.envelope(__version__, command, _config(args), reports)
     if args.format == "json":
         return report_mod.dumps(doc)
     if args.format == "csv":
         return report_mod.csv_text(doc)
+    text = _COMMANDS[command][1]
     lines: list = []
     for rep in reports:
-        if command == "analyze":
-            _text_analyze(rep, lines)
-        elif command == "verify":
-            _text_verify(rep, lines)
-        elif command == "corpus":
-            lines.append(f"{rep['name']:14s} {rep['family']:12s} "
-                         f"{'certified' if rep['certified'] else 'uncertified'}")
+        if command != "corpus" and not rep["certified"]:
+            lines.append(f"{rep['monoid']}: uncertified ({rep['note']})")
         else:
-            _text_generic(command, rep, lines)
+            lines.extend(text(rep))
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _config_echo(command, args) -> dict:
-    config = {"strict": args.strict, "format": args.format}
-    if command == "corpus":
-        config["family"] = args.family or "all"
-        config["dest"] = args.dest
-        return config
-    config["radius"] = args.radius
-    config["seed"] = args.seed
-    config["inputs"] = [str(p) for p in args.inputs]
-    if hasattr(args, "system"):
-        config["system"] = args.system
-    if command == "verify":
-        config["suite"] = args.suite or "all"
-    if command in ("closure", "factor"):
+def _config(args) -> dict:
+    """The config echo: every option but the subcommand and --jobs, which
+    changes scheduling, never results."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "jobs")}
+    if "element" in config:
         config["element"] = [list(g) for g in args.element]
+    for key in ("suite", "family"):
+        if key in config and config[key] is None:
+            config[key] = "all"
     return config
 
 
@@ -417,6 +389,18 @@ def _cmd_corpus(args) -> list:
          "note": e.note}
         for e in entries
     ]
+
+
+# Each subcommand's worker and text block.  The corpus worker takes the
+# arguments alone; every other one runs per model (see _run_models).
+_COMMANDS = {
+    "analyze": (_cmd_analyze, _text_analyze),
+    "closure": (_cmd_closure, _text_closure),
+    "factor": (_cmd_factor, _text_factor),
+    "spectrum": (_cmd_spectrum, _text_spectrum),
+    "verify": (_cmd_verify, _text_verify),
+    "corpus": (_cmd_corpus, _text_corpus),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,12 +479,13 @@ def run(argv=None) -> int:
     if getattr(args, "element", None) is not None:
         args.element = parse_element(args.element)
 
+    worker = _COMMANDS[args.command][0]
     if args.command == "corpus":
-        reports = _cmd_corpus(args)
+        reports = worker(args)
     else:
         specs = _load_specs(_collect_specs(args.inputs))
         with report_mod.stopwatch("total"):
-            reports = _run_models(specs, _WORKERS[args.command], args)
+            reports = _run_models(specs, worker, args)
     sys.stdout.write(_render(args.command, args, reports))
     return 1 if any(_failed(doc, args.strict) for doc in reports) else 0
 

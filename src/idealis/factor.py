@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
+from . import _kernel as K
 from .ideals import (
     Ideal,
     ideal_eq,
-    ideal_from,
     ideal_intersect,
     ideal_subset,
     ideal_sum,
@@ -31,9 +31,12 @@ from .ideals import (
 )
 from .monoid import MonoidModel
 from .spectrum import height_one
-from .systems import System, close, power_close
+from .systems import System, close, power_close, system
 
 _POWER_CAP = 64
+# The longest chain radical_factor_principal and sp_factor build; past it
+# they report Failure("BoundExceeded").
+_CHAIN_BUDGET = 1024
 
 
 class PreconditionFailed(ValueError):
@@ -172,37 +175,31 @@ def _is_unit(H: MonoidModel, x) -> bool:
 
 
 def radical_factor_principal(H: MonoidModel, x) -> FactorChain | Failure:
-    """Factor x + H into radical principal ideals, greedily.
+    """Factor x + H into radical principal ideals by peeling radicals.
 
-    Each step takes the generator z of the (principal) radical of the current
-    remainder and divides it out.  The iteration count is bounded by the least
-    k with k*z_1 in x + H; hitting the bound flags an implementation bug.
+    The radical of x + H is principal exactly when every counting coordinate
+    in the support of x has one atom, so is free.  It is then generated by
+    the support's indicator, and what is left after peeling it off has a
+    principal radical again.  So the chain has as many factors as the
+    largest counting coordinate of x, the k-th generated by the indicator of
+    the coordinates where x is at least k.  Past _CHAIN_BUDGET factors the
+    result is Failure("BoundExceeded") with what is left after that many as
+    witness, as in sp_factor.
     """
     x = tuple(int(c) for c in x)
     if not H.contains(x):
         raise ValueError(f"radical_factor_principal: {x} is not in {H.name}")
     target = principal(H, x)
-    rem = x
-    factors: list[Ideal] = []
-    bound = None
-    while not _is_unit(H, rem):
-        rad = radical(principal(H, rem))
-        if not rad.is_principal:
-            return Failure("NonPrincipalRadical", witness=rad)
-        z = rad.gens[0]
-        factors.append(rad)
-        rem = _vec_sub(rem, z)
-        if bound is None:
-            for k in range(1, _POWER_CAP + 1):
-                if H.contains(_vec_sub(tuple(k * c for c in z), x)):
-                    bound = k
-                    break
-            else:
-                raise AssertionError("no power of the first radical generator reenters x + H")
-        elif len(factors) > bound:
-            return Failure("BoundExceeded", witness=principal(H, rem))
-    from .systems import system
-
+    rad = radical(target)
+    if not rad.is_principal:
+        return Failure("NonPrincipalRadical", witness=rad)
+    keep = H.counting_mask
+    length = max((c for m, c in zip(keep, x) if m), default=0)
+    if length > _CHAIN_BUDGET:
+        rest = [c - m * min(c, _CHAIN_BUDGET) for m, c in zip(keep, x)]
+        return Failure("BoundExceeded", witness=principal(H, rest))
+    factors = [Ideal(H, (tuple(int(m and c >= k) for m, c in zip(keep, x)),))
+               for k in range(1, length + 1)]
     return _chain(system("s", H), target, factors, require_comparable=True)
 
 
@@ -211,7 +208,8 @@ def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
 
     Peels the radical off the front: the cofactor of R = radical(cur) is
     close(sys, cur + R^-1).  Fails when some radical along the way is not an
-    invertible ideal of the system (including not being closed at all).
+    invertible ideal of the system (including not being closed at all), or
+    when the chain would grow past _CHAIN_BUDGET.
     """
     if I.is_empty:
         raise ValueError("sp_factor: empty ideal")
@@ -219,9 +217,9 @@ def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
     unit = unit_ideal(sys.monoid)
     cur = I
     factors: list[Ideal] = []
-    for _ in range(_POWER_CAP * 4):
-        if ideal_eq(cur, unit):
-            return _chain(sys, I, factors, require_comparable=True)
+    while not ideal_eq(cur, unit):
+        if len(factors) == _CHAIN_BUDGET:
+            return Failure("BoundExceeded", witness=cur)
         rad = radical(cur)
         if not ideal_eq(close(sys, rad), rad):
             return Failure("RadicalNotInvertible", witness=rad)
@@ -232,7 +230,7 @@ def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
         if ideal_eq(nxt, cur):
             raise AssertionError("sp_factor cofactor did not advance")
         cur = nxt
-    raise AssertionError("sp_factor did not terminate")
+    return _chain(sys, I, factors, require_comparable=True)
 
 
 @dataclass(frozen=True)
@@ -282,10 +280,7 @@ def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
                 for c in combinations(H.counting, r)]
     out = []
     for fam in _antichains(supports, [], 0):
-        gens = []
-        for S in fam:
-            gens.extend(_cell_gens(H, S))
-        J = ideal_from(gens, H)
+        J = Ideal(H, K.cells_gens(H.pack, fam))
         if ideal_eq(close(sys, J), J):
             out.append(J)
     out.sort(key=lambda J: J.gens)
@@ -315,16 +310,6 @@ def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
         hit = sys._cache["invertible_radicals"] = tuple(
             J for J in radical_closed_ideals(sys) if is_invertible(J, sys))
     return hit
-
-
-def _cell_gens(H: MonoidModel, S):
-    """Generators of {x : supp(x) contains S}: products of atoms over S."""
-    gens = [(0,) * H.dim]
-    for i in S:
-        gens = [
-            g[:i] + (a,) + g[i + 1 :] for g in gens for a in H.coords[i].atoms
-        ]
-    return gens
 
 
 def power_depths(I: Ideal, sys: System) -> tuple[int, ...]:
@@ -404,7 +389,7 @@ def support_witness(I: Ideal):
         if len(H.coords[i].atoms) != 1:
             raise PreconditionFailed(
                 f"coordinate {i} has a non-principal prime cell",
-                witness=ideal_from(_cell_gens(H, (i,)), H),
+                witness=Ideal(H, K.cells_gens(H.pack, [(i,)])),
             )
     if I.is_empty:
         raise ValueError("support_witness: empty ideal")

@@ -84,11 +84,10 @@ def csv_text(doc: dict) -> str:
 
 
 @contextmanager
-def stopwatch(label: str, stream=None):
+def stopwatch(label: str):
     """Time a block and report it on stderr, away from the report bytes."""
-    stream = sys.stderr if stream is None else stream
     t0 = time.perf_counter()
     try:
         yield
     finally:
-        print(f"{label}: {time.perf_counter() - t0:.2f}s", file=stream)
+        print(f"{label}: {time.perf_counter() - t0:.2f}s", file=sys.stderr)

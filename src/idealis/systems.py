@@ -95,16 +95,8 @@ def _check_leq_pre(sys: System):
 
 
 def _prime_gens(H: MonoidModel, face: frozenset) -> tuple:
-    pack = H.pack
-    gens = []
-    for i in H.counting:
-        if i in face:
-            continue
-        for a in pack[5][i]:
-            v = [0] * H.dim
-            v[i] = a
-            gens.append(tuple(v))
-    return K.reduce_gens(pack, tuple(gens))
+    """The prime of a face: the cells of the counting coordinates off it."""
+    return K.cells_gens(H.pack, [(i,) for i in H.counting if i not in face])
 
 
 def proper_faces(H: MonoidModel):

@@ -102,13 +102,24 @@ def test_analyze_json_is_byte_deterministic(specs):
 
 
 def test_json_config_echoes_arguments(specs):
-    r = run_cli("analyze", str(specs / "gap23.spec"), "--json",
-                "--radius", "5", "--seed", "9")
-    doc = json.loads(r.stdout)
-    assert doc["config"]["radius"] == 5
-    assert doc["config"]["seed"] == 9
-    assert doc["config"]["strict"] is False
-    assert doc["config"]["inputs"] == [str(specs / "gap23.spec")]
+    # every option but --jobs, as docs/schema.md lists them per subcommand
+    spec = str(specs / "gap23.spec")
+    base = {"format": "json", "inputs": [spec], "radius": 5, "seed": 9,
+            "strict": False}
+    cases = [
+        (("analyze",), {}),
+        (("closure", "--element", "2;3", "--system", "w"),
+         {"element": [[2], [3]], "system": "w"}),
+        (("factor", "--element", "4"), {"element": [[4]], "system": "t"}),
+        (("spectrum", "--system", "s"), {"system": "s"}),
+        (("verify",), {"suite": "all"}),
+        (("verify", "--suite", "Thm4.3"), {"suite": "Thm4.3"}),
+    ]
+    for (command, *options), extra in cases:
+        r = run_cli(command, spec, *options, "--json", "--radius", "5",
+                    "--seed", "9", "--jobs", "1")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["config"] == {**base, **extra}, command
 
 
 def test_csv_projection(specs):
@@ -131,6 +142,35 @@ def test_timing_goes_to_stderr_not_stdout(specs):
     r = run_cli("analyze", str(specs / "gap23.spec"), "--json", "--radius", "6")
     assert "total:" in r.stderr
     assert "total:" not in r.stdout
+
+
+def test_spectrum_batch_reports_an_uncertified_model(specs):
+    # the model is reported uncertified before its system is built, so a
+    # mod(...) token does not end the batch
+    r = run_cli("spectrum", str(specs / "affine1.spec"),
+                str(specs / "gap23.spec"), "--system", "mod(s,t)")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == ("affine1: uncertified (affine1: exact spectrum "
+                        "needs a certified product model)")
+    assert lines[1:] and all(l.startswith("gap23 prime ") for l in lines[1:])
+
+
+def test_factor_long_chains_and_the_chain_budget(specs):
+    n1 = str(specs / "n1.spec")
+    for element, lbl, length in (("65", "t", 65), ("300", "s", 300)):
+        r = run_cli("factor", n1, "--element", element, "--system", lbl,
+                    "--json")
+        assert r.returncode == 0, r.stderr
+        result = json.loads(r.stdout)["reports"][0]["result"]
+        assert len(result["factors"]) == length
+    # past the budget: a failure report, not an error, and no long loop
+    for lbl in ("t", "s"):
+        r = run_cli("factor", n1, "--element", "1099511627775",
+                    "--system", lbl)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == ("n1: no factorization (BoundExceeded) "
+                            "witness [1099511626751]\n")
 
 
 def test_uncertified_is_reported_not_fatal(specs):

@@ -3,14 +3,15 @@
 import pytest
 
 import bruteforce as bf
-from idealis.factor import (Failure, PreconditionFailed, class_group_probe,
-                            cofactor, divides_in_invertibles, is_invertible,
+from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
+                            class_group_probe, cofactor,
+                            divides_in_invertibles, is_invertible,
                             is_radical_in_invertibles, meager_check,
                             meager_factor, radical_closed_ideals,
                             radical_factor_principal, sp_factor,
                             support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
-                            radical, unit_ideal)
+                            principal, radical, unit_ideal)
 from idealis.monoid import free_monoid
 from idealis.systems import close, closed_ideals, system
 
@@ -49,6 +50,41 @@ def test_gap_element_has_no_radical_chain(gap23):
 def test_unit_factors_trivially(gap23, n2):
     assert radical_factor_principal(gap23, (0,)).factors == ()
     assert radical_factor_principal(n2, (0, 0)).factors == ()
+
+
+def test_principal_chain_is_the_greedy_peel(certified):
+    # each factor is the radical of what the ones before it leave over
+    for H in certified.values():
+        for x in H.enumerate(3):
+            ch = radical_factor_principal(H, x)
+            if not ch.ok:
+                assert ch.reason == "NonPrincipalRadical"
+                assert not radical(principal(H, x)).is_principal
+                continue
+            rest = x
+            for F in ch.factors:
+                assert F == radical(principal(H, rest))
+                rest = tuple(a - b for a, b in zip(rest, F.gens[0]))
+            assert principal(H, rest) == unit_ideal(H)
+
+
+def test_chains_up_to_the_budget(n1, nxz):
+    # one radical factor per unit of the largest counting coordinate, for
+    # the radical peel and the SP peel alike
+    s = system("s", n1)
+    for k in (65, 300, _CHAIN_BUDGET):
+        assert len(radical_factor_principal(n1, (k,))) == k
+        assert len(sp_factor(principal(n1, (k,)), s)) == k
+    assert len(radical_factor_principal(nxz, (70, -3))) == 70
+    # one more is BoundExceeded, witnessed by what the budget leaves over
+    for k in (_CHAIN_BUDGET + 1, (1 << 40) - 1):
+        for got in (radical_factor_principal(n1, (k,)),
+                    sp_factor(principal(n1, (k,)), s)):
+            assert got.reason == "BoundExceeded"
+            assert got.witness.gens == ((k - _CHAIN_BUDGET,),)
+    got = radical_factor_principal(nxz, (_CHAIN_BUDGET + 5, 7))
+    assert got.reason == "BoundExceeded"
+    assert got.witness.gens == ((5, 0),)
 
 
 def test_sp_factor(n2, gap23):

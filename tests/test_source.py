@@ -94,3 +94,17 @@ def test_no_unused_imports():
             found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}"
                       for name in names if name not in read]
     assert not found, found
+
+
+def test_pack_layout_stays_in_the_kernel():
+    # only _kernel/ reads the pack's fields; other modules hand it over whole
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent.name == "_kernel":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and (
+                    getattr(node.value, "id", None) == "pack"
+                    or getattr(node.value, "attr", None) == "pack"):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
