@@ -41,7 +41,7 @@ def workloads():
         ((9,), (12,), (13,)))
     add("reduce_gens 1-d", f13.pack, "reduce_gens",
         ((30,), (8,), (21,), (17,), (9,), (12,), (13,), (40,), (12,)))
-    add("module_gens_1d", f13.pack, "module_gens_1d", 0, (-8, -11, -17))
+    add("inverse_gens 1-d", f13.pack, "inverse_gens", ((-8,), (-11,), (-17,)))
     add("v_close 1-d", gap23.pack, "v_close_gens", ((4,), (5,), (7,)))
     add("v_close wide gaps", wide.pack, "v_close_gens",
         ((16,), (21,), (29,), (47,)))

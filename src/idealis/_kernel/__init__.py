@@ -53,19 +53,6 @@ def contains(pack, v):
     return True
 
 
-def divides(pack, a, b):
-    """Does ``a`` divide ``b``, i.e. is ``b - a`` a member?"""
-    kinds, conds, _, tables, _, _ = pack
-    for i, y in enumerate(a):
-        # member1, inlined: this is the kernel's innermost loop.
-        if kinds[i]:
-            continue
-        x = b[i] - y
-        if x < 0 or (x < conds[i] and tables[i][x] != 1):
-            return False
-    return True
-
-
 def divisible_any(pack, v, gens):
     """Is ``v`` in the module generated by ``gens``?"""
     kinds, conds, _, tables, _, _ = pack
@@ -132,20 +119,6 @@ def reduce_gens(pack, gens):
     return tuple(out)
 
 
-def module_gens_1d(pack, i, shifts):
-    """Generators over the i-th coordinate of {z : z + s is a member for all s}.
-
-    ``shifts`` must be nonempty.  For a group coordinate the module is the
-    whole group, generated by 0.  Otherwise the least member m lies in
-    [-min(shifts), conds[i] - min(shifts)] and every generator lies in
-    [m, m + frobs[i]]: past the Frobenius window each candidate is m plus a
-    member, hence redundant.
-    """
-    if pack[0][i]:
-        return (0,)
-    return _gens_1d(pack[4][i], pack[1][i], pack[2][i], shifts)
-
-
 def member_mask(cond, frob, table):
     """Membership of a counting coordinate with conductor ``cond``,
     Frobenius number ``frob`` and membership table ``table`` as an int:
@@ -165,8 +138,14 @@ _BINARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _gens_1d(member, cond, f, shifts):
-    """``module_gens_1d`` on a counting coordinate, given its membership
-    mask ``member`` (from ``member_mask``), conductor and Frobenius number.
+    """Generators over one counting coordinate of {z : z + s is a member
+    for every s in ``shifts``}, given the coordinate's membership mask
+    ``member`` (from ``member_mask``), conductor and Frobenius number.
+
+    ``shifts`` must be nonempty.  The least member m lies in
+    [-min(shifts), cond - min(shifts)] and every generator lies in
+    [m, m + f]: past the Frobenius window each candidate is m plus a
+    member, hence redundant.
     """
     lo = -min(shifts)
     if not cond:

@@ -32,13 +32,13 @@ from dataclasses import dataclass
 
 from . import _kernel as K
 from .factor import (
-    _POWER_CAP,
     Failure,
     class_group_probe,
     invertible_radicals,
     is_invertible,
     meager_factor,
     meager_family,
+    power_depth,
     power_depths,
     radical_closed_ideals,
     radical_factor_principal,
@@ -67,8 +67,10 @@ from .spectrum import (
 from .systems import (
     System,
     close,
+    closed_faces,
     closed_ideals,
     modular_law_violation,
+    power_close,
     system,
 )
 
@@ -280,8 +282,8 @@ class PropertyContext:
     def closed_primes(self):
         got = self.sys._cache.get("closed_primes")
         if got is None:
-            out = [P for P in primes(self.monoid).primes
-                   if ideal_eq(close(self.sys, P.ideal), P.ideal)]
+            closed = set(closed_faces(self.sys))
+            out = [P for P in primes(self.monoid).primes if P.face in closed]
             out.sort(key=lambda P: (len(P.face), sorted(P.face)))
             got = self.sys._cache["closed_primes"] = tuple(out)
         return got
@@ -335,16 +337,12 @@ def _pair_witness(ctx: PropertyContext, k: int) -> Ideal:
 
 
 def _is_power_of(sys: System, I: Ideal, R: Ideal):
-    """The k with (R^k)_r = I, or None.  Powers only shrink, so the scan
-    stops as soon as I escapes the current power."""
-    cur = R
-    for k in range(1, _POWER_CAP + 1):
-        if ideal_eq(cur, I):
-            return k
-        if not ideal_subset(I, cur):
-            return None
-        cur = close(sys, ideal_sum(cur, R))
-    return None
+    """The k with (R^k)_r = I, or None.  R must be closed, as every caller's
+    is: a closed-prime radical, a support cell or a height-one prime.
+    Closed powers only shrink, so once some (R^j)_r equals I, every deeper
+    power that still holds I equals it too; the deepest is at I's depth."""
+    k = power_depth(I, R, sys)
+    return k if k and power_close(sys, R, k) == I else None
 
 
 def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
@@ -908,7 +906,10 @@ def _p_class_group_trivial(ctx):
     if len(ctx.rmax()) <= 1:
         return _t(note="local: the minimum window of an invertible closed "
                        "ideal is principal")
-    probe = class_group_probe(H, ctx.sys, min(ctx.radius, 6), cap=4)
+    try:
+        probe = class_group_probe(H, ctx.sys, min(ctx.radius, 6), cap=4)
+    except K.BudgetExceeded as exc:
+        return _u(note=f"the closed-ideal lattice is over budget: {exc}")
     if probe.nonprincipal:
         return _f(probe.nonprincipal[0],
                   note="invertible closed ideal that is not principal")

@@ -85,8 +85,9 @@ def _collect_specs(inputs) -> list:
 
 
 def _load_specs(paths) -> list:
-    """(model name, spec text) per path; every spec is parsed here once, so
-    a bad input fails the run before any model is analyzed."""
+    """(model name, spec text) per path.  Every spec is parsed here, so a
+    bad input fails the run before any model is analyzed; ``_task`` parses
+    the text again where the model is analyzed."""
     specs = []
     for path in paths:
         try:

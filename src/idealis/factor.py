@@ -2,9 +2,8 @@
 
 Invertibility and divisibility tests, radical factorization of principal
 ideals (greedy peel by the radical's generator), SP factorization of closed
-ideals (peel by the radical's inverse), meager-set factorization with a
-strictly decreasing prime-power measure, support witnesses, and a bounded
-class-group probe.
+ideals and meager-set factorization of invertible ideals (one peel loop,
+two step functions), support witnesses, and a bounded class-group probe.
 
 Everything here returns either a FactorChain (with reassembly re-checked at
 construction time) or a Failure carrying the offending ideal, so callers can
@@ -33,9 +32,9 @@ from .monoid import MonoidModel
 from .spectrum import height_one
 from .systems import System, close, power_close, system
 
-_POWER_CAP = 64
-# The longest chain radical_factor_principal and sp_factor build; past it
-# they report Failure("BoundExceeded").
+# The longest chain radical_factor_principal, sp_factor and meager_factor
+# build, and the deepest closed power a depth scan looks at; past it chains
+# report Failure("BoundExceeded").
 _CHAIN_BUDGET = 1024
 
 
@@ -203,34 +202,50 @@ def radical_factor_principal(H: MonoidModel, x) -> FactorChain | Failure:
     return _chain(system("s", H), target, factors, require_comparable=True)
 
 
-def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
-    """Factor a closed ideal into a comparable chain of radical closed ideals.
-
-    Peels the radical off the front: the cofactor of R = radical(cur) is
-    close(sys, cur + R^-1).  Fails when some radical along the way is not an
-    invertible ideal of the system (including not being closed at all), or
-    when the chain would grow past _CHAIN_BUDGET.
-    """
-    if I.is_empty:
-        raise ValueError("sp_factor: empty ideal")
-    _require_closed(I, sys, "sp_factor")
+def _peel(I: Ideal, sys: System, step,
+          require_comparable: bool) -> FactorChain | Failure:
+    """Factor I by peeling until H is left: ``step(cur, sys)`` returns the
+    factors it peels off ``cur`` and what is left, or a Failure, which ends
+    the chain.  A step that would take the chain past _CHAIN_BUDGET factors
+    gives Failure("BoundExceeded") with what is left before it; a step that
+    leaves ``cur`` as it was raises."""
     unit = unit_ideal(sys.monoid)
     cur = I
     factors: list[Ideal] = []
     while not ideal_eq(cur, unit):
-        if len(factors) == _CHAIN_BUDGET:
+        got = step(cur, sys)
+        if isinstance(got, Failure):
+            return got
+        peeled, nxt = got
+        if len(factors) + len(peeled) > _CHAIN_BUDGET:
             return Failure("BoundExceeded", witness=cur)
-        rad = radical(cur)
-        if not ideal_eq(close(sys, rad), rad):
-            return Failure("RadicalNotInvertible", witness=rad)
-        if not is_invertible(rad, sys):
-            return Failure("RadicalNotInvertible", witness=rad)
-        factors.append(rad)
-        nxt = close(sys, ideal_sum(cur, inverse(rad)))
         if ideal_eq(nxt, cur):
-            raise AssertionError("sp_factor cofactor did not advance")
+            raise AssertionError("peel did not advance")
+        factors.extend(peeled)
         cur = nxt
-    return _chain(sys, I, factors, require_comparable=True)
+    return _chain(sys, I, factors, require_comparable)
+
+
+def _sp_step(cur: Ideal, sys: System):
+    """Peel the radical R of cur: the cofactor is close(sys, cur + R^-1)."""
+    rad = radical(cur)
+    if not ideal_eq(close(sys, rad), rad) or not is_invertible(rad, sys):
+        return Failure("RadicalNotInvertible", witness=rad)
+    return (rad,), close(sys, ideal_sum(cur, inverse(rad)))
+
+
+def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
+    """Factor a closed ideal into a comparable chain of radical closed ideals.
+
+    Peels the radical off the front (``_sp_step``).  Fails when some
+    radical along the way is not an invertible ideal of the system
+    (including not being closed at all), or when the chain would grow past
+    _CHAIN_BUDGET.
+    """
+    if I.is_empty:
+        raise ValueError("sp_factor: empty ideal")
+    _require_closed(I, sys, "sp_factor")
+    return _peel(I, sys, _sp_step, require_comparable=True)
 
 
 @dataclass(frozen=True)
@@ -312,16 +327,19 @@ def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
     return hit
 
 
+def power_depth(I: Ideal, R: Ideal, sys: System) -> int:
+    """The largest k <= _CHAIN_BUDGET with I inside (R^k)_sys.  A chain of
+    k factors below R needs depth k, so the budget that bounds chains
+    bounds the scan."""
+    k = 0
+    while k < _CHAIN_BUDGET and ideal_subset(I, power_close(sys, R, k + 1)):
+        k += 1
+    return k
+
+
 def power_depths(I: Ideal, sys: System) -> tuple[int, ...]:
-    """Per height-one prime P, the largest k <= _POWER_CAP with I inside the
-    k-th closed power of P."""
-    out = []
-    for P in height_one(sys.monoid):
-        k = 0
-        while k < _POWER_CAP and ideal_subset(I, power_close(sys, P.ideal, k + 1)):
-            k += 1
-        out.append(k)
-    return tuple(out)
+    """power_depth of I at each height-one prime."""
+    return tuple(power_depth(I, P.ideal, sys) for P in height_one(sys.monoid))
 
 
 def meager_family(I: Ideal, sys: System, max_size: int):
@@ -338,32 +356,29 @@ def meager_family(I: Ideal, sys: System, max_size: int):
     return None
 
 
+def _meager_step(cur: Ideal, sys: System):
+    """Peel a meager family of at most three members off cur."""
+    omega = meager_family(cur, sys, 3)
+    if omega is None:
+        return Failure("NoMeagerSet", witness=radical(cur))
+    for J in omega:
+        cur = close(sys, ideal_sum(cur, inverse(J)))
+    return omega, cur
+
+
 def meager_factor(I: Ideal, sys: System) -> FactorChain | Failure:
     """Factor an invertible ideal by repeatedly peeling a meager set.
 
     At each step the radical of the current ideal must be an intersection of
     at most three invertible radical closed ideals forming a meager set for
-    it; the peel strictly decreases the prime-power measure, which is
-    asserted.
+    it (``_meager_step``).  Each peel strictly lowers the largest power
+    depth at a height-one prime (``docs/exactness.md``, "One peel loop"),
+    so the chain ends; past _CHAIN_BUDGET factors it ends as
+    Failure("BoundExceeded").
     """
     if not is_invertible(I, sys):
         raise ValueError("meager_factor: input must be invertible")
-    unit = unit_ideal(sys.monoid)
-    cur = I
-    factors: list[Ideal] = []
-    m_prev = max(power_depths(cur, sys), default=0)
-    while not ideal_eq(cur, unit):
-        omega = meager_family(cur, sys, 3)
-        if omega is None:
-            return Failure("NoMeagerSet", witness=radical(cur))
-        for J in omega:
-            factors.append(J)
-            cur = close(sys, ideal_sum(cur, inverse(J)))
-        m_now = max(power_depths(cur, sys), default=0)
-        if m_now >= m_prev:
-            raise AssertionError("meager peel did not decrease the measure")
-        m_prev = m_now
-    return _chain(sys, I, factors, require_comparable=False)
+    return _peel(I, sys, _meager_step, require_comparable=False)
 
 
 def _radical_gen(H: MonoidModel, x) -> tuple[int, ...]:

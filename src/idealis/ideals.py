@@ -156,24 +156,11 @@ def ideal_eq(I: Ideal, J: Ideal) -> bool:
     return I.gens == J.gens
 
 
-def shift(I: Ideal, c) -> Ideal:
-    """Translate by c: the module c + I."""
-    H = I.monoid
-    c = tuple(c)
-    if len(c) != H.dim:
-        raise ValueError(f"shift {c} has dimension {len(c)} != {H.dim}")
-    for g in I.gens:
-        g = tuple(map(add, c, g))
-        if max(map(abs, g)) >= MAX_COORD:
-            raise ValueError(f"generator {g} exceeds the coordinate bound")
-    return _translate(I, c)
-
-
 def _translate(I: Ideal, c) -> Ideal:
-    """``shift`` for internal callers whose c is an int tuple of the
-    model's dimension that keeps every translated generator inside the
-    coordinate bound (a box member moving a closure of box samples, say).
-    Nothing is re-validated.
+    """Translate by c: the module c + I.  For internal callers whose c is
+    an int tuple of the model's dimension that keeps every translated
+    generator inside the coordinate bound (a box member moving a closure
+    of box samples, say); nothing is validated.
 
     Translation keeps divisibility and lexicographic order, so once the
     group coordinates are zeroed again the translated generators of a

@@ -380,13 +380,5 @@ def product(name, *models):
     return MonoidModel(name, coords)
 
 
-def contains(H: MonoidModel, g) -> bool:
-    return H.contains(g)
-
-
-def divides(H: MonoidModel, a, b) -> bool:
-    return H.divides(a, b)
-
-
 def localize(H: MonoidModel, P) -> MonoidModel:
     return H.localize(P)

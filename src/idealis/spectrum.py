@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_subset
 from .monoid import MonoidModel
-from .systems import System, _prime_gens, close, proper_faces, r_max_faces
+from .systems import (System, _prime_gens, closed_faces, proper_faces,
+                      r_max_faces)
 
 
 class UncertifiedModel(Exception):
@@ -55,21 +56,17 @@ def _check_certified(H: MonoidModel):
 
 
 def primes(H: MonoidModel) -> Spectrum:
-    """All prime s-ideals, heights by chain search in the finite poset."""
+    """All prime s-ideals.  The height of P_F is the number of counting
+    coordinates off F (``docs/exactness.md``, "The face correspondence")."""
     _check_certified(H)
     got = H.memo.get("spectrum")
     if got is not None:
         return got
-    faces = proper_faces(H)
-    ideals = {face: Ideal(H, _prime_gens(H, face)) for face in faces}
-    # Longest chains, largest faces (smallest primes) first.
-    heights = {}
-    for face in sorted(faces, key=len, reverse=True):
-        below = [heights[g] for g in faces if face < g]
-        heights[face] = 1 + max(below, default=0)
+    n = len(H.counting)
     ordered = tuple(
-        PrimeIdeal(H, face, ideals[face], heights[face])
-        for face in sorted(faces, key=lambda f: (heights[f], tuple(sorted(f)))))
+        PrimeIdeal(H, face, Ideal(H, _prime_gens(H, face)), n - len(face))
+        for face in sorted(proper_faces(H),
+                           key=lambda f: (n - len(f), tuple(sorted(f)))))
     spec = H.memo["spectrum"] = Spectrum(H, ordered)
     return spec
 
@@ -122,13 +119,14 @@ def _dvm_verdict(H: MonoidModel) -> str:
 def spectrum_json(H: MonoidModel, sys: System) -> dict:
     """The report shape: faces, heights, closure and maximality flags."""
     spec = primes(H)
+    closed = set(closed_faces(sys))
     max_faces = set(r_max_faces(H, sys))
     rows = []
     for P in spec.primes:
         rows.append({
             "face": sorted(P.face),
             "height": P.height,
-            f"{sys.label}_ideal": close(sys, P.ideal).gens == P.ideal.gens,
+            f"{sys.label}_ideal": P.face in closed,
             f"{sys.label}_max": P.face in max_faces,
         })
     return {"primes": rows}

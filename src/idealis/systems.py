@@ -113,20 +113,28 @@ def proper_faces(H: MonoidModel):
     return out
 
 
+def closed_faces(sys: System) -> tuple:
+    """Faces of the sys-closed primes, in ``proper_faces`` order."""
+    got = sys._cache.get("closed_faces")
+    if got is None:
+        H = sys.monoid
+        out = []
+        for face in proper_faces(H):
+            P = Ideal(H, _prime_gens(H, face))
+            if close(sys, P).gens == P.gens:
+                out.append(face)
+        got = sys._cache["closed_faces"] = tuple(out)
+    return got
+
+
 def r_max_faces(H: MonoidModel, sys: System) -> tuple:
     """Faces of the maximal sys-closed primes."""
     got = sys._cache.get("r_max_faces")
-    if got is not None:
-        return got
-    closed = []
-    for face in proper_faces(H):
-        P = Ideal(H, _prime_gens(H, face))
-        if close(sys, P).gens == P.gens:
-            closed.append(face)
-    maximal = tuple(f for f in closed
-                    if not any(g < f for g in closed))
-    sys._cache["r_max_faces"] = maximal
-    return maximal
+    if got is None:
+        closed = closed_faces(sys)
+        got = sys._cache["r_max_faces"] = tuple(
+            f for f in closed if not any(g < f for g in closed))
+    return got
 
 
 def close(sys: System, X: Ideal) -> Ideal:
@@ -154,14 +162,23 @@ def modular_close(p: System, r: System, X: Ideal) -> Ideal:
 
 
 def power_close(sys: System, I: Ideal, k: int) -> Ideal:
-    """The sys-closed k-th power (I^k)_sys; k = 0 gives H."""
+    """The sys-closed k-th power (I^k)_sys; k = 0 gives H.
+
+    The system's memo keeps the sequence (I^1)_sys, (I^2)_sys, ... per I,
+    each power closed from the one before plus I: (I^k)_sys is
+    ((I^(k-1))_sys + I)_sys for every ideal system.
+    """
     if k == 0:
         return unit_ideal(sys.monoid)
-    out = I
-    for _ in range(k - 1):
-        out = close(sys, Ideal(sys.monoid,
-                               K.sum_gens(sys.monoid.pack, out.gens, I.gens)))
-    return close(sys, out)
+    key = ("powers", I.gens)
+    seq = sys._cache.get(key)
+    if seq is None:
+        seq = sys._cache[key] = [close(sys, I)]
+    pack = sys.monoid.pack
+    while len(seq) < k:
+        seq.append(close(sys, Ideal(sys.monoid,
+                                    K.sum_gens(pack, seq[-1].gens, I.gens))))
+    return seq[k - 1]
 
 
 def dropped_generator_close(sys: System):

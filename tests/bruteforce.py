@@ -363,6 +363,17 @@ def module_gens_1d(coord, shifts) -> tuple:
                  if not any(w < z and ok[z - w] for w in module))
 
 
+def chain_heights(faces) -> dict:
+    """Height of each face's prime by longest-chain search in the finite
+    face poset: a larger face is a smaller prime, so P_F has height one
+    more than the largest height of a face strictly above F."""
+    heights = {}
+    for face in sorted(faces, key=len, reverse=True):
+        heights[face] = 1 + max((heights[g] for g in faces if face < g),
+                                default=0)
+    return heights
+
+
 def modular_close_choice(H, gens, faces) -> tuple:
     """Modular closure by the choice-function product, on grid oracles.
 

@@ -173,6 +173,22 @@ def test_factor_long_chains_and_the_chain_budget(specs):
                             "witness [1099511626751]\n")
 
 
+def test_class_group_probe_over_budget_ends_unknown(tmp_path):
+    # four singular coordinates: the probe's lattice trips its ground-set
+    # budget, which ends as an honest unknown, not as an error
+    spec = tmp_path / "g23x4.spec"
+    spec.write_text("name = g23x4\n" + "coord = numerical 2 3\n" * 4)
+    r = run_cli("analyze", str(spec), "--json")
+    assert r.returncode == 0, r.stderr
+    systems = json.loads(r.stdout)["reports"][0]["systems"]
+    for lbl in ("t", "w"):
+        got = systems[lbl]["class_group_trivial"]
+        assert got["verdict"] == "unknown-beyond-radius"
+        assert got["note"] == (
+            "the closed-ideal lattice is over budget: "
+            f"{lbl}-lattice ground set has 1296 > 400 vectors")
+
+
 def test_uncertified_is_reported_not_fatal(specs):
     r = run_cli("closure", str(specs / "affine1.spec"), "--element", "1,1")
     assert r.returncode == 0

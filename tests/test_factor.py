@@ -3,13 +3,14 @@
 import pytest
 
 import bruteforce as bf
+from idealis.classify import PropertyContext
 from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
-                            class_group_probe, cofactor,
+                            _meager_step, class_group_probe, cofactor,
                             divides_in_invertibles, is_invertible,
                             is_radical_in_invertibles, meager_check,
-                            meager_factor, radical_closed_ideals,
-                            radical_factor_principal, sp_factor,
-                            support_witness)
+                            meager_factor, power_depths,
+                            radical_closed_ideals, radical_factor_principal,
+                            sp_factor, support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
                             principal, radical, unit_ideal)
 from idealis.monoid import free_monoid
@@ -205,6 +206,42 @@ def test_meager_factor_peels(n2, gap23):
     tg = system("t", gap23)
     with pytest.raises(ValueError, match="invertible"):
         meager_factor(close(tg, ideal_from([(2,), (3,)], gap23)), tg)
+
+
+def test_meager_chains_up_to_the_budget(n1):
+    # one peel of the prime (1) per unit, past the old 64-deep power scan
+    t = system("t", n1)
+    for k in (65, 100, _CHAIN_BUDGET):
+        ch = meager_factor(close(t, principal(n1, (k,))), t)
+        assert len(ch) == k
+        assert {F.gens for F in ch.factors} == {((1,),)}
+    got = meager_factor(close(t, principal(n1, (_CHAIN_BUDGET + 1,))), t)
+    assert got.reason == "BoundExceeded"
+    assert got.witness.gens == ((1,),)
+
+
+def test_meager_peel_lowers_the_measure(certified):
+    """Each meager peel strictly lowers the largest power depth at a
+    height-one prime (docs/exactness.md, "One peel loop"), on every proper
+    invertible closed ideal of the deciders' lattices that has a meager
+    family."""
+    peeled = 0
+    for name, H in certified.items():
+        for lbl in ("s", "w", "t"):
+            ctx = PropertyContext(H, system(lbl, H), 8)
+            sys = ctx.sys
+            lat = ctx.lattice() or ctx.lattice_at(2)
+            for I in lat:
+                if not ctx.proper(I) or not is_invertible(I, sys):
+                    continue
+                step = _meager_step(I, sys)
+                if isinstance(step, Failure):
+                    continue
+                _, rest = step
+                assert max(power_depths(rest, sys), default=0) < \
+                    max(power_depths(I, sys)), (name, lbl, I)
+                peeled += 1
+    assert peeled >= 300
 
 
 def test_support_witness(n2):

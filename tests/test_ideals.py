@@ -9,7 +9,7 @@ import bruteforce as bf
 from idealis.ideals import (_translate, _trusted_ideal, empty_ideal,
                             ideal_eq, ideal_from, ideal_intersect,
                             ideal_power, ideal_subset, ideal_sum,
-                            ideal_union, inverse, principal, radical, shift,
+                            ideal_union, inverse, principal, radical,
                             unit_ideal)
 from idealis.monoid import MAX_COORD, free_monoid, numerical_monoid
 from idealis.systems import _box_vectors
@@ -67,7 +67,8 @@ def test_sum_power_shift(gap23, n2):
     assert ideal_sum(ideal_from([(4,)], gap23), ideal_from([(5,)], gap23)).gens \
         == ((9,),)
     assert ideal_power(ideal_from([(2,)], gap23), 3).gens == ((6,),)
-    assert shift(ideal_from([(2,)], gap23), (3,)).gens == ((5,),)
+    assert _translate(ideal_from([(2,)], gap23), (3,)).gens == ((5,),)
+    assert _translate(empty_ideal(gap23), (5,)).is_empty
     assert ideal_intersect(ideal_from([(2, 0)], n2),
                            ideal_from([(0, 3)], n2)).gens == ((2, 3),)
     assert ideal_union(ideal_from([(2, 0)], n2),
@@ -160,8 +161,8 @@ def test_json_shape(n2):
 
 @pytest.mark.parametrize("name", ["gap23", "g23xn", "g23xz", "nxz", "z2"])
 def test_trusted_paths_match_validating(named, name):
-    """The trusted constructor and the translations skip the final
-    reduction, and ``_translate`` validation too; on random box samples (the
+    """The trusted constructor and the translation skip validation, and
+    ``_translate`` the final reduction too; on random box samples (the
     sampled checkers' own pools) each must give exactly what ``ideal_from``
     gives."""
     H = named[name]
@@ -177,17 +178,15 @@ def test_trusted_paths_match_validating(named, name):
         c = rng.choice(box)
         moved_group += any(c[i] for i in group)
         translates = [tuple(x + y for x, y in zip(c, g)) for g in I.gens]
-        assert shift(I, c).gens == ideal_from(translates, H).gens
-        assert _translate(I, c).gens == shift(I, c).gens
+        assert _translate(I, c).gens == ideal_from(translates, H).gens
     assert moved_group or not group
 
 
-def test_shift_validates(gap23, nxz):
-    I = ideal_from([(2,)], gap23)
+def test_ideal_from_validates(gap23, nxz):
+    # input is validated once, where it enters; _translate trusts it
     with pytest.raises(ValueError, match="dimension"):
-        shift(I, (1, 0))
+        ideal_from([(1, 0)], gap23)
     with pytest.raises(ValueError, match="coordinate bound"):
-        shift(I, (MAX_COORD,))
+        ideal_from([(MAX_COORD,)], gap23)
     with pytest.raises(ValueError, match="coordinate bound"):
-        shift(ideal_from([(1, 0)], nxz), (0, -MAX_COORD))
-    assert shift(empty_ideal(gap23), (5,)).is_empty
+        ideal_from([(1, -MAX_COORD)], nxz)

@@ -3,9 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from idealis.monoid import (MonoidModel, contains, divides, free_monoid,
-                            localize, numerical_monoid, parse_monoid, product,
-                            to_text)
+from idealis.monoid import (MonoidModel, free_monoid, localize,
+                            numerical_monoid, parse_monoid, product, to_text)
 
 
 def test_numerical_invariants(gap23, n345, n25):
@@ -54,14 +53,14 @@ def test_product_layout(g23xn, g23xz, nxz, z2):
 
 
 def test_divides(gap23):
-    assert divides(gap23, (2,), (4,))
-    assert not divides(gap23, (2,), (3,))   # 1 is a gap
-    assert divides(gap23, (0,), (5,))
+    assert gap23.divides((2,), (4,))
+    assert not gap23.divides((2,), (3,))   # 1 is a gap
+    assert gap23.divides((0,), (5,))
 
 
 def test_dimension_mismatch(gap23):
     with pytest.raises(ValueError, match="dimension"):
-        contains(gap23, (1, 2))
+        gap23.contains((1, 2))
 
 
 def test_max_dim_enforced():

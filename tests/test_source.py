@@ -108,3 +108,26 @@ def test_pack_layout_stays_in_the_kernel():
                     or getattr(node.value, "attr", None) == "pack"):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, found
+
+
+def test_kernel_functions_have_package_callers():
+    # a kernel routine only the tests call is a second implementation to
+    # keep in step: every function _kernel defines is read elsewhere in the
+    # package, as K.<name> in a module or by name in another kernel function
+    kernel_path = Path(K.__file__).resolve()
+    kernel = ast.parse(kernel_path.read_text())
+    defined = {node.name for node in kernel.body
+               if isinstance(node, ast.FunctionDef)}
+    used = set()
+    for node in kernel.body:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        if isinstance(node, ast.FunctionDef):
+            names.discard(node.name)
+        used |= names
+    for path in sorted(SRC.rglob("*.py")):
+        if path.resolve() == kernel_path:
+            continue
+        used |= {n.attr for n in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(n, ast.Attribute)
+                 and getattr(n.value, "id", None) == "K"}
+    assert defined and sorted(defined - used) == []

@@ -34,6 +34,17 @@ def test_heights_and_ideals(n2, g23xn):
     assert primes(g23xn).by_face([1]).ideal.gens == ((2, 0), (3, 0))
 
 
+def test_heights_match_chain_search(certified):
+    """Heights by formula (counting coordinates off the face) equal the
+    longest chains of the face poset, on the named models and on free 1 to
+    free 5."""
+    models = dict(certified)
+    models.update((f"free{d}", free_monoid(f"free{d}", d)) for d in range(1, 6))
+    for name, H in models.items():
+        assert {P.face: P.height for P in primes(H).primes} == \
+            bf.chain_heights(proper_faces(H)), name
+
+
 def _with_localizations(certified):
     """Every certified named model, free 3 and free 4, each followed by its
     localization at every proper face."""
