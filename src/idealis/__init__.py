@@ -8,7 +8,7 @@ classification matrix with cross-checked equivalence suites on top.
 
 __version__ = "1.0.0"
 
-from .monoid import (MonoidModel, free_monoid, group_monoid, localize,
+from .monoid import (MonoidModel, free_monoid, group_monoid,
                      numerical_monoid, parse_monoid, product, to_text)
 from .ideals import (Ideal, empty_ideal, ideal_from, ideal_intersect,
                      ideal_power, ideal_sum, inverse, principal, radical,
@@ -26,8 +26,8 @@ from .classify import (PropertyVerdict, TfaeReport, classify, evaluate,
 
 __all__ = [
     "__version__",
-    "MonoidModel", "free_monoid", "group_monoid", "localize",
-    "numerical_monoid", "parse_monoid", "product", "to_text",
+    "MonoidModel", "free_monoid", "group_monoid", "numerical_monoid",
+    "parse_monoid", "product", "to_text",
     "Ideal", "empty_ideal", "ideal_from", "ideal_intersect", "ideal_power",
     "ideal_sum", "inverse", "principal", "radical", "unit_ideal",
     "System", "axioms_check", "close", "closed_ideals", "modular_close",

@@ -311,14 +311,6 @@ def _least_singular_principal(ctx: PropertyContext) -> Ideal:
                                               ctx.monoid.coords[i].n1))
 
 
-def _cell_of(ctx: PropertyContext, S) -> Ideal:
-    S = frozenset(S)
-    for T, C in ctx.cells():
-        if T == S:
-            return C
-    raise KeyError(sorted(S))
-
-
 def _two_gen_max(ctx: PropertyContext) -> Ideal:
     # the height >= 2 prime over the first two counting coordinates
     i, j = sorted(ctx.monoid.counting)[:2]
@@ -346,10 +338,18 @@ def _is_power_of(sys: System, I: Ideal, R: Ideal):
 
 
 def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
-    rad = radical(I)
-    members = ctx.box(min(ctx.radius, 6))
-    return K.primary_violation(ctx.monoid.pack, members, I.gens,
-                               rad.gens) is None
+    """Whether the radius-6 box holds no primary violation of I.  The scan
+    skips members with a nonzero group coordinate (``docs/exactness.md``,
+    "Box scans ignore group coordinates"), and the model's memo keeps it."""
+    H = ctx.monoid
+    radius = min(ctx.radius, 6)
+    key = ("box_primary", I.gens, radius)
+    if key not in H.memo:
+        members = [x for x in ctx.box(radius)
+                   if all(c == 0 or m for c, m in zip(x, H.counting_mask))]
+        H.memo[key] = K.primary_violation(H.pack, members, I.gens,
+                                          radical(I).gens) is None
+    return H.memo[key]
 
 
 def _radical_product_search(ctx: PropertyContext, I: Ideal,
@@ -557,7 +557,7 @@ def _fg_closed(name, word):
         if not H.counting:
             return _t(note="the only nonempty ideal is H", vacuous=True)
         if ctx.singular:
-            C = _cell_of(ctx, {ctx.singular[0]})
+            C = Ideal(H, K.cells_gens(H.pack, [(ctx.singular[0],)]))
             if _TESTS[word](C, ctx.sys):
                 raise AssertionError
             return _f(C, note="closed finitely generated support cell that "

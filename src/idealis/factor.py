@@ -3,7 +3,8 @@
 Invertibility and divisibility tests, radical factorization of principal
 ideals (greedy peel by the radical's generator), SP factorization of closed
 ideals and meager-set factorization of invertible ideals (one peel loop,
-two step functions), support witnesses, and a bounded class-group probe.
+two step functions), the radical closed ideals as meets of closed primes,
+support witnesses, and a bounded class-group probe.
 
 Everything here returns either a FactorChain (with reassembly re-checked at
 construction time) or a Failure carrying the offending ideal, so callers can
@@ -30,7 +31,7 @@ from .ideals import (
 )
 from .monoid import MonoidModel
 from .spectrum import height_one
-from .systems import System, close, power_close, system
+from .systems import System, close, closed_faces, power_close, system
 
 # The longest chain radical_factor_principal, sp_factor and meager_factor
 # build, and the deepest closed power a depth scan looks at; past it chains
@@ -280,41 +281,38 @@ def meager_check(members, I: Ideal, sys: System) -> MeagerVerdict:
 
 
 def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
-    """All proper radical sys-closed ideals of the monoid, sorted by generators.
+    """All proper radical sys-closed ideals, sorted by generators: the meets
+    of the nonempty antichains of closed primes (``docs/exactness.md``,
+    "Radical closed ideals from closed primes").  A meet folds from H, the
+    cell of the empty support, one prime P_F at a time: a cell C_S stays
+    when S leaves the face F and otherwise becomes the cells C_{S+i}, i off
+    F; ``cells_gens`` keeps the minimal generators."""
+    hit = sys._cache.get("radical_closed")
+    if hit is None:
+        H = sys.monoid
 
-    Radical ideals are unions of support cells, hence indexed by antichains of
-    nonempty subsets of the counting coordinates; the whole family is finite
-    and independent of any radius.
-    """
-    key = "radical_closed"
-    hit = sys._cache.get(key)
-    if hit is not None:
-        return hit
-    H = sys.monoid
-    supports = [frozenset(c) for r in range(1, len(H.counting) + 1)
-                for c in combinations(H.counting, r)]
-    out = []
-    for fam in _antichains(supports, [], 0):
-        J = Ideal(H, K.cells_gens(H.pack, fam))
-        if ideal_eq(close(sys, J), J):
-            out.append(J)
-    out.sort(key=lambda J: J.gens)
-    result = tuple(out)
-    sys._cache[key] = result
-    return result
+        def meet(supports, F):
+            return {S | {i} if S <= F else S
+                    for S in supports for i in H.counting if i not in F}
+
+        hit = sys._cache["radical_closed"] = tuple(sorted(
+            (Ideal(H, K.cells_gens(H.pack, reduce(meet, fam, [frozenset()])))
+             for fam in _antichains(closed_faces(sys), [], 0)),
+            key=lambda J: J.gens))
+    return hit
 
 
-def _antichains(supports, chosen, start):
-    """Every nonempty antichain of the distinct sets in ``supports`` that
+def _antichains(sets, chosen, start):
+    """Every nonempty antichain of the distinct sets in ``sets`` that
     extends ``chosen`` by sets at index ``start`` or later, once each: a set
     comparable with one already chosen is skipped."""
-    for k in range(start, len(supports)):
-        S = supports[k]
+    for k in range(start, len(sets)):
+        S = sets[k]
         if any(S <= T or T <= S for T in chosen):
             continue
         chosen.append(S)
         yield tuple(chosen)
-        yield from _antichains(supports, chosen, k + 1)
+        yield from _antichains(sets, chosen, k + 1)
         chosen.pop()
 
 

@@ -379,6 +379,3 @@ def product(name, *models):
         coords.extend(m.coords)
     return MonoidModel(name, coords)
 
-
-def localize(H: MonoidModel, P) -> MonoidModel:
-    return H.localize(P)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from idealis import _kernel as K
 from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, PropertyContext,
                               _box_primary, _is_power_of,
                               _meager_intersection_exists, classify, evaluate,
@@ -18,8 +19,9 @@ from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, PropertyContext,
                               tfae_suite)
 from idealis.factor import (is_invertible, meager_factor,
                             radical_factor_principal, sp_factor)
-from idealis.ideals import radical
-from idealis.monoid import free_monoid, numerical_monoid
+from idealis.ideals import ideal_from, principal, radical
+from idealis.monoid import (free_monoid, group_monoid, numerical_monoid,
+                            parse_monoid, product)
 from idealis.report import dumps
 from idealis.spectrum import UncertifiedModel
 from idealis.systems import close, system
@@ -289,6 +291,58 @@ def test_free4_classify_within_budget():
         verdicts = {c["verdict"] for c in rep["conditions"]
                     if not c.get("vacuous")}
         assert verdicts <= {"true"}, name
+
+
+def test_classify_with_three_group_coordinates_within_budget():
+    # the primary scan skips the 13^3 group positions of every box member
+    H = product("g23xz3", numerical_monoid("g23", (2, 3)),
+                group_monoid("z3", 3))
+    t0 = time.perf_counter()
+    doc = classify(H, radius=8)
+    took = time.perf_counter() - t0
+    assert took < 5.0, f"g23xz3 took {took:.1f}s"
+    assert all(rep["agreement"] for rep in doc["suites"].values())
+
+
+def test_box_scan_without_group_coordinates_matches_full_box():
+    """A primary violation lies in the box exactly when one lies among its
+    members with zero group coordinates, on products with two or more
+    group coordinates."""
+    g23, N, Z = (numerical_monoid("g23", (2, 3)), free_monoid("N", 1),
+                 group_monoid("Z", 1))
+    models = [product("g23xz2", g23, Z, Z), product("nxz2", N, Z, Z),
+              product("zxnxz", Z, N, Z), product("n2xz2", N, Z, N, Z)]
+    seen = set()
+    for H in models:
+        ctx = PropertyContext(H, system("t", H), 2)
+        members = ctx.box(2)
+        base = [v for v in members
+                if all(c == 0 or m for c, m in zip(v, H.counting_mask))
+                and any(v)]
+        ideals = [principal(H, v) for v in base]
+        ideals += [ideal_from([u, v], H)
+                   for u, v in itertools.combinations(base, 2)]
+        for I in ideals:
+            full = K.primary_violation(H.pack, members, I.gens,
+                                       radical(I).gens) is None
+            assert _box_primary(ctx, I) == full, (H.name, I.gens)
+            seen.add(full)
+    assert seen == {True, False}
+
+
+def test_each_box_scan_runs_once(monkeypatch):
+    # the primary scan depends on the model, the ideal and the box, not on
+    # the system: s, w and t refute at one witness with one scan
+    scans = []
+    scan = K.primary_violation
+
+    def count(pack, members, gens_i, gens_rad):
+        scans.append(gens_i)
+        return scan(pack, members, gens_i, gens_rad)
+
+    monkeypatch.setattr(K, "primary_violation", count)
+    classify(parse_monoid("name = g23x4\n" + "coord = numerical 2 3\n" * 4))
+    assert len(scans) == 1
 
 
 def _taken(ctx, prop):

@@ -1,8 +1,12 @@
 """Radical factorization chains, invertibility, meager peels, probes."""
 
+import itertools
+import time
+
 import pytest
 
 import bruteforce as bf
+from idealis import corpus
 from idealis.classify import PropertyContext
 from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
                             _meager_step, class_group_probe, cofactor,
@@ -13,7 +17,7 @@ from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
                             sp_factor, support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
                             principal, radical, unit_ideal)
-from idealis.monoid import free_monoid
+from idealis.monoid import free_monoid, group_monoid, numerical_monoid, product
 from idealis.systems import close, closed_ideals, system
 
 
@@ -134,17 +138,40 @@ def test_radical_closed_ideals_are_radical_and_closed(certified):
 
 
 def test_antichain_enumeration_matches_subset_filter(certified):
-    """The antichain DFS returns what filtering every subset of supports
-    returns, on the named models and on free 1 to free 4."""
+    """The meets of antichains of closed primes are what filtering every
+    subset of supports by closure returns: on the named models, free 1 to
+    free 4, products with group coordinates and a fixed sixth of
+    frobenius15, under systems with and without a coordinatewise closure."""
     models = dict(certified)
     models.update((f"free{d}", free_monoid(f"free{d}", d)) for d in range(1, 5))
+    g23, N, Z = (numerical_monoid("g23", (2, 3)), free_monoid("N", 1),
+                 group_monoid("Z", 1))
+    models["g23xz2"] = product("g23xz2", g23, Z, Z)
+    models["nxzxn"] = product("nxzxn", N, Z, N)
+    models.update((e.name, e.model)
+                  for e in corpus.members("frobenius15")[::6])
     for name, H in models.items():
-        for lbl in ("s", "t", "w"):
+        for lbl in ("s", "t", "w", "v", "mod(s,v)", "mod(t,t)", "mod(s,s)"):
             sys = system(lbl, H)
             assert radical_closed_ideals(sys) == \
                 bf.radical_closed_by_filter(sys), (name, lbl)
     # the Dedekind number 168 less the empty antichain and {emptyset}
     assert len(radical_closed_ideals(system("s", models["free4"]))) == 166
+
+
+def test_free6_coordinatewise_radicals_are_the_cells():
+    """Under t and w only the height-one primes of free 6 are closed, so its
+    radical closed ideals are the 63 single-support cells."""
+    H = free_monoid("free6", 6)
+    cells = sorted((tuple(int(i in S) for i in range(6)),)
+                   for k in range(1, 7)
+                   for S in itertools.combinations(range(6), k))
+    for lbl in ("t", "w"):
+        t0 = time.perf_counter()
+        fam = radical_closed_ideals(system(lbl, H))
+        took = time.perf_counter() - t0
+        assert took < 1.0, f"free6 {lbl} took {took:.2f}s"
+        assert [J.gens for J in fam] == cells, lbl
 
 
 def test_radical_closed_family_matches_lattice_filter(n2):

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from idealis.monoid import (MonoidModel, free_monoid, localize,
-                            numerical_monoid, parse_monoid, product, to_text)
+from idealis.monoid import (MonoidModel, free_monoid, numerical_monoid,
+                            parse_monoid, product, to_text)
 
 
 def test_numerical_invariants(gap23, n345, n25):
@@ -143,20 +143,20 @@ def test_affine_has_no_pack(affine1):
 
 
 def test_localize_inverts_face_coordinates(n2, gap23):
-    loc = localize(n2, {1})
+    loc = n2.localize({1})
     assert [c.kind for c in loc.coords] == ["free", "group"]
     assert loc.contains((3, -4))
     # face () localizes at the maximal ideal: nothing is inverted
-    assert localize(gap23, ()).coords == gap23.coords
+    assert gap23.localize(()).coords == gap23.coords
 
 
 def test_localize_rejects_bad_faces(n2, affine1):
     with pytest.raises(ValueError, match="not a prime"):
-        localize(n2, {0, 1})
+        n2.localize({0, 1})
     with pytest.raises(ValueError, match="certified"):
-        localize(affine1, ())
+        affine1.localize(())
     with pytest.raises(ValueError, match="out of range"):
-        localize(n2, {5})
+        n2.localize({5})
 
 
 def test_product_rejects_affine(affine1, n2):

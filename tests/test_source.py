@@ -96,6 +96,19 @@ def test_no_unused_imports():
     assert not found, found
 
 
+def test_public_names_are_the_package_imports():
+    # __all__ is exactly what __init__.py imports, plus __version__, and
+    # every name in it resolves: a deleted export cannot leave
+    # `from idealis import *` broken
+    import idealis
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert sorted(idealis.__all__) == sorted(imported | {"__version__"})
+    assert all(hasattr(idealis, name) for name in idealis.__all__)
+    exec("from idealis import *", {})
+
+
 def test_pack_layout_stays_in_the_kernel():
     # only _kernel/ reads the pack's fields; other modules hand it over whole
     found = []

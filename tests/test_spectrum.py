@@ -6,7 +6,7 @@ import pytest
 
 import bruteforce as bf
 from idealis.ideals import ideal_from, unit_ideal
-from idealis.monoid import free_monoid, group_monoid, localize, numerical_monoid
+from idealis.monoid import free_monoid, group_monoid, numerical_monoid
 from idealis.spectrum import (UncertifiedModel, height_one, is_dvm,
                               minimal_primes_over, primes, r_max,
                               spectrum_json)
@@ -53,7 +53,7 @@ def _with_localizations(certified):
     for H in models:
         yield H
         for face in proper_faces(H):
-            yield localize(H, face)
+            yield H.localize(face)
 
 
 def test_primality_on_boxes(certified):
@@ -121,7 +121,7 @@ def test_is_dvm(build, want):
 def test_localizations_at_height_one_are_dvms(n2):
     # both localizations of N^2 at height-one primes are discrete valuation
     for P in height_one(n2):
-        assert is_dvm(localize(n2, P)) == "true"
+        assert is_dvm(n2.localize(P)) == "true"
 
 
 # reaches the second atom of every numerical coordinate in the named corpus
@@ -135,7 +135,7 @@ def test_is_dvm_matches_pair_sweep_oracle(certified):
     models = [(H, _SWEEP_RADIUS) for H in certified.values()]
     models += [(free_monoid(f"free{d}", d), 1) for d in (3, 4)]
     for H, radius in models:
-        for L in [H] + [localize(H, face) for face in proper_faces(H)]:
+        for L in [H] + [H.localize(face) for face in proper_faces(H)]:
             assert is_dvm(L) == bf.dvm_verdict(L, radius), L.name
 
 
@@ -144,7 +144,7 @@ def test_free5_spectrum_within_budget():
     t0 = time.perf_counter()
     H = free_monoid("free5", 5)
     spec = primes(H)
-    verdicts = [is_dvm(localize(H, face)) for face in proper_faces(H)]
+    verdicts = [is_dvm(H.localize(face)) for face in proper_faces(H)]
     took = time.perf_counter() - t0
     assert took < 3.0, f"free5 took {took:.1f}s"
     assert len(spec.primes) == 31
