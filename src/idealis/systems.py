@@ -137,16 +137,25 @@ def r_max_faces(H: MonoidModel, sys: System) -> tuple:
     return got
 
 
+# r_max_faces of a system whose only maximal closed prime is the maximal
+# ideal: its face inverts nothing.
+_LOCAL = (frozenset(),)
+
+
 def close(sys: System, X: Ideal) -> Ideal:
     """sys-closure of a finitely generated ideal, as a canonical Ideal."""
     if X.monoid is not sys.monoid:
         raise ValueError("ideal bound to a different monoid")
     if sys.kind == "s" or not X.gens:
         return X
+    H = sys.monoid
+    if sys.kind == "mod" and r_max_faces(H, sys.parts[1]) == _LOCAL:
+        # H is r-local: the one term of the intersection, at face {}, is
+        # X_p + H = X_p, so mod(p, r) closes as p does (w as s).
+        return close(sys.parts[0], X)
     got = sys._cache.get(X.gens)
     if got is not None:
         return got
-    H = sys.monoid
     if sys.kind in ("t", "v"):
         gens = K.v_close_gens(H.pack, X.gens)
     else:
@@ -279,11 +288,59 @@ def _box_vectors(H: MonoidModel, radius: int):
     return [v for v in iproduct(*ranges)]
 
 
-def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
-    _check_samples(samples)
+def _draw_stream(H, radius, seed, n, probe_last=True):
+    """The first ``n`` samples' draws of the axiom check at ``seed``, each
+    as (gens, probe, extra, c); the draws of h and g for the probe g + h
+    are skipped on the last sample unless ``probe_last``."""
     members = H.enumerate(radius)
     below, sample = _sampler(random.Random(seed), members,
                              _box_vectors(H, radius))
+    for k in range(1, n + 1):
+        gens = sample(1 + below(4))
+        probe = None
+        if probe_last or k < n:
+            h = members[below(len(members))]
+            probe = tuple(map(add, gens[below(len(gens))], h))
+        extra = sample(1 + below(2))
+        c = members[below(len(members))]
+        yield gens, probe, extra, c
+
+
+def _tape_sample(H, draws, intern=lambda x: x):
+    """One sample: its draws and the ideals built from them, X, Y = X
+    plus ``extra``, and X translated by c."""
+    gens, probe, extra, c = draws
+    X = intern(_trusted_ideal(gens, H))
+    return (intern(gens), intern(probe), X,
+            intern(_trusted_ideal(gens + extra, H)), intern(_translate(X, c)),
+            intern(extra), c)
+
+
+def _axiom_tape(H, samples, radius, seed):
+    """Every sample of the axiom check at these arguments, drawn once per
+    model and read by every system checked with them.
+
+    The samples are those of the pass path, on which no draw depends on
+    the closure: h and g are drawn only when A passes, and a failing
+    sample ends the check (``docs/exactness.md``, "One draw tape per
+    model").  Equal tuples and equal Ideals are stored once; an Ideal never
+    equals a tuple, so one dict interns both.
+    """
+    key = ("axiom_tape", samples, radius, seed)
+    tape = H.memo.get(key)
+    if tape is None:
+        seen = {}
+
+        def intern(x):
+            return seen.setdefault(x, x)
+        tape = H.memo[key] = tuple(
+            _tape_sample(H, draws, intern)
+            for draws in _draw_stream(H, radius, seed, samples))
+    return tape
+
+
+def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
+    _check_samples(samples)
     pack = H.pack
     divisible_any = K.divisible_any
     failures = []
@@ -291,32 +348,30 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
     def fail(axiom, **kw):
         failures.append({"axiom": axiom, "system": label, **kw})
 
-    for done in range(1, samples + 1):
-        gens = sample(1 + below(4))
-        X = _trusted_ideal(gens, H)
+    for done, (gens, probe, X, Y, Xc, extra, c) in enumerate(
+            _axiom_tape(H, samples, radius, seed), 1):
         Xr = close_fn(X)
         # (A) extension: X + H inside the closure.
         for g in gens:
             if not divisible_any(pack, g, Xr.gens):
                 fail("A", witness=list(g), gens=[list(v) for v in gens])
+                # This sample drew no h and g: its extra and c are the
+                # replayed stream's, not the tape's.
+                *_, draws = _draw_stream(H, radius, seed, done,
+                                         probe_last=False)
+                _, _, _, Y, Xc, extra, c = _tape_sample(H, draws)
                 break
         else:
-            h = members[below(len(members))]
-            g = gens[below(len(gens))]
-            probe = tuple(map(add, g, h))
             if not divisible_any(pack, probe, Xr.gens):
                 fail("A", witness=list(probe), gens=[list(v) for v in gens])
         # (B) monotone closure, via idempotence plus monotonicity.
         if close_fn(Xr).gens != Xr.gens:
             fail("B", kind="idempotence", gens=[list(v) for v in gens])
-        extra = sample(1 + below(2))
-        Y = _trusted_ideal(gens + extra, H)
         if not ideal_subset(Xr, close_fn(Y)):
             fail("B", kind="monotonicity", gens=[list(v) for v in gens],
                  extra=[list(v) for v in extra])
         # (C) translation equivariance.
-        c = members[below(len(members))]
-        lhs = close_fn(_translate(X, c))
+        lhs = close_fn(Xc)
         rhs = _translate(Xr, c)
         if lhs.gens != rhs.gens:
             fail("C", shift=list(c), gens=[list(v) for v in gens])

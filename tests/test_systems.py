@@ -135,6 +135,153 @@ def test_axioms_catch_a_broken_closure(gap23):
     assert "witness" in rep.failures[0]
 
 
+def _pass_path_draws(H, samples, radius, seed):
+    """What a fresh sampler draws for an axiom check whose every sample
+    passes A: gens, h, g, extra and c per sample, in that order."""
+    members = H.enumerate(radius)
+    below, sample = systems._sampler(random.Random(seed), members,
+                                     systems._box_vectors(H, radius))
+    out = []
+    for _ in range(samples):
+        gens = sample(1 + below(4))
+        h = members[below(len(members))]
+        g = gens[below(len(gens))]
+        extra = sample(1 + below(2))
+        c = members[below(len(members))]
+        out.append((gens, tuple(map(add, g, h)), extra, c))
+    return out
+
+
+def _tape_models(certified):
+    from idealis import corpus
+    frob = corpus.members("frobenius15")
+    return list(certified.values()) + [frob[i].model for i in (0, 300, 500)]
+
+
+@pytest.mark.parametrize("samples,radius,seed", [(200, 4, 0), (50, 6, 3)])
+def test_axiom_tape_is_the_sampler_stream(certified, samples, radius, seed):
+    for H in _tape_models(certified):
+        tape = systems._axiom_tape(H, samples, radius, seed)
+        assert [t[:2] + t[5:] for t in tape] == \
+            _pass_path_draws(H, samples, radius, seed)
+        for gens, _, X, Y, Xc, extra, c in tape:
+            assert X == ideal_from(gens, H)
+            assert Y == ideal_from(gens + extra, H)
+            assert Xc == ideal_from([tuple(map(add, c, g)) for g in gens], H)
+        # equal ideals are one object
+        ideals = [I for t in tape for I in t[2:5]]
+        assert len({id(I) for I in ideals}) == len({I.gens for I in ideals})
+        assert systems._axiom_tape(H, samples, radius, seed) is tape
+
+
+def test_axiom_checks_share_one_draw_tape(monkeypatch, certified):
+    # s draws the tape; t and w, at the same arguments, draw nothing.
+    log = []
+    monkeypatch.setattr(systems.random, "Random", _recording_random(log))
+    for H in _tape_models(certified):
+        H = MonoidModel(H.name, H.coords)
+        axioms_check(system("s", H), samples=200, radius=4, seed=0)
+        drawn = len(log)
+        assert drawn > 0
+        for label in ("t", "w"):
+            axioms_check(system(label, H), samples=200, radius=4, seed=0)
+        assert len(log) == drawn, H.name
+
+
+@pytest.mark.parametrize("samples,radius,seed", [(200, 4, 0), (50, 6, 3)])
+def test_axiom_reports_do_not_depend_on_check_order(certified, samples,
+                                                    radius, seed):
+    def run(H, labels):
+        return {label: axioms_check(system(label, H), samples, radius,
+                                    seed).to_json()
+                for label in labels}
+
+    for H in _tape_models(certified):
+        forward = run(MonoidModel(H.name, H.coords), "stw")
+        backward = run(MonoidModel(H.name, H.coords), "wts")
+        alone = {}
+        for label in "stw":
+            alone.update(run(MonoidModel(H.name, H.coords), label))
+        assert forward == backward == alone, H.name
+        assert all(doc["ok"] for doc in forward.values()), H.name
+
+
+def test_failing_sample_replays_its_own_draws(certified):
+    """A sample failing A inside the generator loop draws no h and g, so
+    its extra and c are not the tape's.  A control run after passing
+    checks on one model reports exactly what it reports on a fresh one."""
+    from idealis.ideals import Ideal
+
+    def doubling(H):
+        # neither extensive nor translation equivariant: C shows its c
+        return lambda X: Ideal(H, tuple(sorted(
+            tuple(2 * x for x in g) for g in close(system("t", H), X).gens)))
+
+    replayed = 0
+    for H in certified.values():
+        for broken in (lambda H: dropped_generator_close(system("t", H)),
+                       doubling):
+            fresh = MonoidModel(H.name, H.coords)
+            want = systems._axioms_check_fn(broken(fresh), fresh, "control",
+                                            200, 4, 0).to_json()
+            used = MonoidModel(H.name, H.coords)
+            for label in ("s", "t", "w"):
+                assert axioms_check(system(label, used), 200, 4, 0).ok
+            got = systems._axioms_check_fn(broken(used), used, "control",
+                                           200, 4, 0).to_json()
+            assert got == want, H.name
+            if not got["failures"] or got["failures"][0]["axiom"] != "A":
+                # doubling may keep extension on a model; the c01 control
+                # never does
+                assert broken is doubling, H.name
+                continue
+            first = got["failures"][0]
+            k = got["counts"]["A"]
+            shifts = [f["shift"] for f in got["failures"] if f["axiom"] == "C"]
+            if first["witness"] in first["gens"] and shifts:
+                tape_c = systems._axiom_tape(used, 200, 4, 0)[k - 1][6]
+                replayed += shifts[0] != list(tape_c)
+    # the replay changed a reported shift somewhere, so the check has teeth
+    assert replayed > 0
+
+
+def test_local_modularization_closes_as_its_left_operand(gap23):
+    """When r's only maximal closed prime is the maximal ideal, mod(p, r)
+    returns the p-closure.  Against the full face intersection, for w and
+    mod(t,t) on every certified corpus model and its localizations, over
+    the ideals a c01 sample draws.  (The localization at the empty face is
+    the model itself.)"""
+    from idealis import corpus
+    local = 0
+    for e in corpus.members():
+        H = e.model
+        if not H.certified:
+            continue
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            t = system("t", L)
+            faces = r_max_faces(L, t)
+            ideals = {I for sample in systems._axiom_tape(L, 200, 4, 0)
+                      for I in sample[2:5]}
+            for label, p in (("w", system("s", L)), ("mod(t,t)", t)):
+                sys = system(label, L)
+                for X in ideals:
+                    assert close(sys, X).gens == K.modular_close_gens(
+                        L.pack, close(p, X).gens, faces), (L.name, label)
+                if faces == (frozenset(),):
+                    # the shortcut fills no cache of its own
+                    assert not [k for k in sys._cache
+                                if k and isinstance(k[0], tuple)], L.name
+            local += faces == (frozenset(),)
+    assert local >= 586
+    # the c01 control on w, which closes as s on gap23, still fails A
+    assert r_max_faces(gap23, system("t", gap23)) == (frozenset(),)
+    rep = systems._axioms_check_fn(
+        dropped_generator_close(system("w", gap23)), gap23, "control",
+        samples=200, radius=4, seed=0)
+    assert rep.failures[0]["axiom"] == "A"
+    assert "witness" in rep.failures[0]
+
+
 def test_check_report_is_json_safe(gap23):
     import json
     rep = axioms_check(system("t", gap23), samples=10, radius=4)
@@ -354,8 +501,11 @@ def test_sampler_draw_stream_is_pinned(monkeypatch, named):
     """The sampled checks draw the same stream at the same seed.
 
     Passing reports carry counts only, so a reordered or re-derived draw
-    would slip past every golden; the draw log's length and digest were
-    frozen from the choice/randint sampler this one replaced."""
+    would slip past every golden.  The reports' digest was frozen from the
+    choice/randint sampler this one replaced.  The draw log's length and
+    digest were frozen when the checks began to share one draw tape per
+    model: s draws each model's tape and t and w read it, the control draws
+    its own tape and replays its failing sample."""
     import hashlib
     import json
 
@@ -365,23 +515,26 @@ def test_sampler_draw_stream_is_pinned(monkeypatch, named):
     frob = corpus.members("frobenius15")
     models = [named[n] for n in ("gap23", "n2", "g23xn", "nxz")]
     models += [frob[i].model for i in (0, 200, 400)]
+    # fresh memos: a draw tape left by another test would not be drawn
+    models = [MonoidModel(H.name, H.coords) for H in models]
     docs = []
     for H in models:
         for label in ("s", "t", "w"):
             rep = axioms_check(system(label, H), samples=60, radius=4, seed=5)
             docs.append(rep.to_json())
-    H = named["g23xn"]
+    H = models[2]
     docs.append(leq_check(system("w", H), system("t", H), samples=40,
                           radius=4, seed=3).to_json())
+    gap23 = models[0]
     docs.append(systems._axioms_check_fn(
-        dropped_generator_close(system("t", named["gap23"])), named["gap23"],
+        dropped_generator_close(system("t", gap23)), gap23,
         "control", samples=200, radius=4, seed=0).to_json())
     assert not docs[-1]["ok"]
     draws = hashlib.sha256(repr(log).encode()).hexdigest()
     reports = hashlib.sha256(
         json.dumps(docs, sort_keys=True).encode()).hexdigest()
-    assert len(log) == 21461
-    assert (draws[:16], reports[:16]) == ("4bb9aea93d04fd81",
+    assert len(log) == 10952
+    assert (draws[:16], reports[:16]) == ("9a5286953c433371",
                                           "2890ba77e7bad29e")
 
 
