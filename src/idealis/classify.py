@@ -214,9 +214,14 @@ class PropertyContext:
     # -- dispatch ----------------------------------------------------------
 
     def prop(self, name: str) -> _V:
+        """The memoised verdict of one property; a budget that trips
+        while it is decided makes it unknown, with the budget's message."""
         name = _canon(name)
         if name not in self._vals:
-            self._vals[name] = _REGISTRY[name](self)
+            try:
+                self._vals[name] = _REGISTRY[name](self)
+            except K.BudgetExceeded as exc:
+                self._vals[name] = _u(note=f"over budget: {exc}")
         return self._vals[name]
 
     # -- shape -------------------------------------------------------------

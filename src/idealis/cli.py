@@ -107,9 +107,9 @@ def _check_element_dim(gens, H: MonoidModel) -> None:
             f"{H.name} has {H.dim}")
 
 
-# Per-monoid workers.  Each returns its report dict; the exit status is
-# read off the reports (see _failed).  A worker that builds a system first
-# degrades on an uncertified model.
+# Per-monoid workers.  Each returns its report dict, which _task renders
+# and reads the exit status off (see _failed).  A worker that builds a
+# system first degrades on an uncertified model.
 
 def _uncertified_report(H: MonoidModel, what: str) -> dict:
     return {"monoid": H.name, "certified": False,
@@ -194,17 +194,19 @@ def _cmd_verify(H: MonoidModel, args) -> dict:
 
 
 def _task(worker, args, text: str) -> tuple:
-    """Parse one spec and run the worker on it: (doc, seconds).
+    """Parse one spec, run the worker on it and render its report:
+    (fragment, failed, seconds), see _rendered.
 
     The time covers the worker only.  The model's derived data is dropped
-    as soon as its report is built.
+    as soon as its report is built, and the report once it is rendered, so
+    only strings leave a worker process.
     """
     H = parse_monoid(text)
     t0 = time.perf_counter()
     doc = worker(H, args)
     dt = time.perf_counter() - t0
     H.memo.clear()
-    return doc, dt
+    return (*_rendered(args, doc), dt)
 
 
 def _cpus() -> int:
@@ -222,29 +224,36 @@ def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
 
 
 def _run_models(specs, worker, args) -> list:
-    """Run the worker on each (name, spec text), reports in input order.
+    """Run the worker on each (name, spec text): (fragment, failed) per
+    model, in input order.
 
     Models are independent, so with more than one worker they run in
-    worker processes; the worker function and everything it returns must
-    pickle.  A single worker runs the same task in-process.
+    worker processes; the worker function must pickle.  A single worker
+    runs the same task in-process.
     """
     task = functools.partial(_task, worker, args)
     texts = [text for _, text in specs]
     workers = _worker_count(args.jobs, len(texts), _cpus())
     if workers <= 1:
-        results = [task(text) for text in texts]
-    else:
-        # fork, not spawn: the pool forks every worker before it starts a
-        # thread and the CLI runs none, so no lock is copied mid-update, and
-        # no worker re-imports the package.  spawn's vfork-then-exec lets a
-        # SIGSTOP to the process group stop a child before its exec, which
-        # leaves the CLI in uninterruptible sleep and the group never stopped.
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(task, texts))
-    for (name, _), (_, dt) in zip(specs, results):
+        return _collect(specs, map(task, texts))
+    # fork, not spawn: the pool forks every worker before it starts a
+    # thread and the CLI runs none, so no lock is copied mid-update, and
+    # no worker re-imports the package.  spawn's vfork-then-exec lets a
+    # SIGSTOP to the process group stop a child before its exec, which
+    # leaves the CLI in uninterruptible sleep and the group never stopped.
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return _collect(specs, pool.map(task, texts))
+
+
+def _collect(specs, results) -> list:
+    """The (fragment, failed) of each task result, which arrive in input
+    order; each model's time goes to stderr as its result comes back."""
+    out = []
+    for (name, _), (fragment, failed, dt) in zip(specs, results):
         print(f"{name}: {dt:.2f}s", file=sys.stderr)
-    return [doc for doc, _ in results]
+        out.append((fragment, failed))
+    return out
 
 
 def _failed(doc: dict, strict: bool) -> bool:
@@ -257,7 +266,7 @@ def _failed(doc: dict, strict: bool) -> bool:
 
 
 # Text rendering: each subcommand's block yields the lines of one
-# report; _render writes the line of an uncertified one.
+# report; _fragment writes the line of an uncertified one.
 
 def _verdict_counts(table: dict) -> str:
     counts = {"true": 0, "false": 0, "unknown-beyond-radius": 0}
@@ -346,20 +355,43 @@ def _text_corpus(row):
            f"{'certified' if row['certified'] else 'uncertified'}")
 
 
-def _render(command, args, reports) -> str:
-    doc = report_mod.envelope(__version__, command, _config(args), reports)
+def _fragment(args, doc: dict) -> str:
+    """One report in the run's format, as _write places it in the
+    envelope: its JSON inside the reports array, its CSV rows, or its
+    text lines."""
     if args.format == "json":
-        return report_mod.dumps(doc)
+        return report_mod.json_fragment(doc)
     if args.format == "csv":
-        return report_mod.csv_text(doc)
-    text = _COMMANDS[command][1]
-    lines: list = []
-    for rep in reports:
-        if command != "corpus" and not rep["certified"]:
-            lines.append(f"{rep['monoid']}: uncertified ({rep['note']})")
-        else:
-            lines.extend(text(rep))
-    return "\n".join(lines) + "\n" if lines else ""
+        return report_mod.csv_lines(report_mod.csv_rows(doc))
+    if args.command != "corpus" and not doc["certified"]:
+        lines = [f"{doc['monoid']}: uncertified ({doc['note']})"]
+    else:
+        lines = _COMMANDS[args.command][1](doc)
+    return "".join(line + "\n" for line in lines)
+
+
+def _rendered(args, doc: dict) -> tuple:
+    """(fragment, failed): what the run keeps of one report."""
+    return _fragment(args, doc), _failed(doc, args.strict)
+
+
+def _write(args, fragments) -> None:
+    """Write the envelope to ``sys.stdout`` as it is at call time: the
+    head, each fragment in input order (one write each, never a joined
+    copy of the document), the tail.  JSON fragments are separated by
+    ",\n"; CSV has its header once; text is the fragments alone."""
+    head, sep, tail = "", "", ""
+    if args.format == "json":
+        head, tail = report_mod.json_frame(__version__, args.command,
+                                           _config(args))
+        sep = ",\n"
+    elif args.format == "csv":
+        head = report_mod.CSV_HEADER
+    out = sys.stdout
+    out.write(head)
+    for k, fragment in enumerate(fragments):
+        out.write(sep + fragment if k else fragment)
+    out.write(tail)
 
 
 def _config(args) -> dict:
@@ -482,13 +514,15 @@ def run(argv=None) -> int:
 
     worker = _COMMANDS[args.command][0]
     if args.command == "corpus":
-        reports = worker(args)
+        results = [_rendered(args, row) for row in worker(args)]
     else:
         specs = _load_specs(_collect_specs(args.inputs))
         with report_mod.stopwatch("total"):
-            reports = _run_models(specs, worker, args)
-    sys.stdout.write(_render(args.command, args, reports))
-    return 1 if any(_failed(doc, args.strict) for doc in reports) else 0
+            results = _run_models(specs, worker, args)
+    # every fragment is in before the first write, so a run that fails
+    # partway writes nothing to stdout
+    _write(args, [fragment for fragment, _ in results])
+    return 1 if any(failed for _, failed in results) else 0
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,10 @@
 A report document never carries wall-clock data; timing lines go to stderr
 so that two runs with identical configuration produce byte-identical output
 on stdout.  The JSON layout is versioned through the top-level ``schema``
-field and documented in docs/schema.md.
+field and documented in docs/schema.md.  Each report renders on its own
+(``json_fragment``, ``csv_rows``); written in input order inside the
+envelope's frame they are the whole document's bytes.  This is the one
+module that serializes.
 """
 
 from __future__ import annotations
@@ -64,23 +67,44 @@ def _flatten(value, path: str, rows: list) -> None:
         rows.append((path, _cell(value)))
 
 
-def csv_text(doc: dict) -> str:
-    """Flat projection of an envelope: one row per leaf value.
+def json_frame(version: str, command: str, config: dict) -> tuple:
+    """The canonical JSON of an envelope split where its reports go:
+    (head, tail).  Written around the ``json_fragment`` of each of one or
+    more reports, ``",\n"`` between two, they give ``dumps`` of the
+    envelope byte for byte.  Only top-level keys start a line indented two
+    spaces, so the split is unambiguous."""
+    head, _, tail = dumps(envelope(version, command, config, [])).partition(
+        '\n  "reports": []')
+    return head + '\n  "reports": [\n', "\n  ]" + tail
 
-    Columns are (monoid, path, value) with dotted paths into each report;
-    lossy by design, meant for spreadsheet triage rather than round-trips.
-    """
+
+def json_fragment(rep) -> str:
+    """One report as it stands inside the envelope's ``reports`` array:
+    its ``dumps`` with every line indented four spaces and no final
+    newline.  Strings are escaped, so every newline is the layout's."""
+    return "    " + dumps(rep)[:-1].replace("\n", "\n    ")
+
+
+def csv_lines(rows) -> str:
+    """Rows in the canonical CSV dialect, one line each."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("monoid", "path", "value"))
-    for rep in doc["reports"]:
-        name = rep.get("monoid", rep.get("name", ""))
-        rows: list = []
-        body = {k: v for k, v in rep.items() if k not in ("monoid", "name")}
-        _flatten(body, "", rows)
-        for path, val in rows:
-            writer.writerow((name, path, val))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+CSV_HEADER = csv_lines([("monoid", "path", "value")])
+
+
+def csv_rows(rep: dict) -> list:
+    """The flat projection of one report: a (monoid, path, value) row per
+    leaf value, with dotted paths into the report.  Lossy by design, meant
+    for spreadsheet triage rather than round-trips; a run's CSV is
+    ``CSV_HEADER`` and then each report's rows."""
+    name = rep.get("monoid", rep.get("name", ""))
+    rows: list = []
+    _flatten({k: v for k, v in rep.items() if k not in ("monoid", "name")},
+             "", rows)
+    return [(name, path, val) for path, val in rows]
 
 
 @contextmanager

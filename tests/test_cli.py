@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import idealis
-from idealis import cli, corpus
-from idealis.monoid import to_text
+from idealis import cli, corpus, report
+from idealis.monoid import parse_monoid, to_text
 
 SRC = str(Path(idealis.__file__).resolve().parent.parent)
 
@@ -219,7 +219,7 @@ def test_jobs_never_change_bytes(specs):
     # finish out of input order.
     order = ["n2", "gap23", "nxz"]
     paths = [str(specs / f"{name}.spec") for name in order]
-    for fmt in ("--json", None):
+    for fmt in ("--json", "--csv", None):
         runs = [run_cli("analyze", *paths, "--radius", "5", "--jobs", jobs,
                         *([fmt] if fmt else []))
                 for jobs in ("1", "2")]
@@ -264,17 +264,36 @@ def _named_specs(*names):
     return [(name, to_text(models[name])) for name in names]
 
 
+def _batch_args(jobs):
+    # what _run_models and the task read of the parsed options
+    return argparse.Namespace(jobs=jobs, command="analyze", format="json",
+                              strict=False)
+
+
 def _pid_worker(H, args):
-    return {"monoid": H.name, "pid": os.getpid()}
+    return {"monoid": H.name, "certified": True, "pid": os.getpid()}
 
 
 def test_one_model_or_one_worker_runs_in_process():
     for specs, jobs in ((_named_specs("gap23"), 100000),
                         (_named_specs("gap23", "nxz", "n2"), 1)):
-        reports = cli._run_models(specs, _pid_worker,
-                                  argparse.Namespace(jobs=jobs))
+        results = cli._run_models(specs, _pid_worker, _batch_args(jobs))
+        reports = [json.loads(fragment) for fragment, _ in results]
         assert [doc["monoid"] for doc in reports] == [n for n, _ in specs]
         assert {doc["pid"] for doc in reports} == {os.getpid()}
+        assert not any(failed for _, failed in results)
+
+
+def test_model_times_go_out_as_results_arrive(capsys):
+    # in-process, each model's time is on stderr before the next one runs
+    def worker(H, args):
+        print(f"running {H.name}", file=sys.stderr)
+        return {"monoid": H.name, "certified": True}
+
+    cli._run_models(_named_specs("gap23", "nxz"), worker, _batch_args(1))
+    assert [line.split(":")[0]
+            for line in capsys.readouterr().err.splitlines()] == [
+        "running gap23", "gap23", "running nxz", "nxz"]
 
 
 FAILING_BATCH = """
@@ -285,13 +304,14 @@ from idealis.monoid import to_text
 def fail_on_nxz(H, args):
     if H.name == "nxz":
         raise ValueError(H.name + ": deliberate failure")
-    return {"monoid": H.name}
+    return {"monoid": H.name, "certified": True}
 
 models = {e.name: e.model for e in corpus.members("named")}
 specs = [(n, to_text(models[n])) for n in ("gap23", "nxz", "n2")]
 try:
-    cli._run_models(specs, fail_on_nxz,
-                    argparse.Namespace(jobs=int(sys.argv[1])))
+    cli._run_models(specs, fail_on_nxz, argparse.Namespace(
+        jobs=int(sys.argv[1]), command="analyze", format="json",
+        strict=False))
 except Exception as exc:
     print(type(exc).__module__, type(exc).__qualname__, exc)
 """
@@ -308,6 +328,70 @@ def test_worker_failure_propagates():
                            timeout=120)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "builtins ValueError nxz: deliberate failure\n"
+
+
+def whole_document(args, reports) -> str:
+    """The render of a run's whole envelope at once, which the CLI's
+    report-by-report output must equal byte for byte."""
+    doc = report.envelope(idealis.__version__, args.command,
+                          cli._config(args), reports)
+    if args.format == "json":
+        return report.dumps(doc)
+    if args.format == "csv":
+        return report.CSV_HEADER + report.csv_lines(
+            row for rep in doc["reports"] for row in report.csv_rows(rep))
+    lines = []
+    for rep in reports:
+        if args.command != "corpus" and not rep["certified"]:
+            lines.append(f"{rep['monoid']}: uncertified ({rep['note']})")
+        else:
+            lines.extend(cli._COMMANDS[args.command][1](rep))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "gap23", "--radius", "5"),
+    ("analyze", "gap23", "affine1", "nxz", "--radius", "5"),
+    ("verify", "n2", "--suite", "Thm4.3"),
+    ("verify", "gap23", "z1", "affine1", "--radius", "5"),
+    ("spectrum", "z1"),
+    ("spectrum", "n2", "affine1", "g23xz", "--system", "w"),
+    ("corpus", "--family", "named"),
+], ids=lambda argv: "-".join(argv[:3]))
+def test_output_is_the_whole_document(specs, capsys, argv):
+    # the reports come straight from the workers, rendered here at once
+    command, *rest = argv
+    argv = [command] + [str(specs / f"{a}.spec")
+                        if (specs / f"{a}.spec").exists() else a
+                        for a in rest]
+    args = cli._build_parser().parse_args(argv)
+    worker = cli._COMMANDS[command][0]
+    if command == "corpus":
+        reports = worker(args)
+    else:
+        reports = [worker(parse_monoid(Path(p).read_text()), args)
+                   for p in args.inputs]
+    out = {}
+    for fmt in ("json", "csv", "text"):
+        args.format = fmt
+        cli.run(argv + ([] if fmt == "text" else [f"--{fmt}"]) + (
+            [] if command == "corpus" else ["--jobs", "1"]))
+        out[fmt] = capsys.readouterr().out
+        assert out[fmt] == whole_document(args, reports), fmt
+    if rest == ["z1"]:
+        assert out["text"] == ""
+
+
+def test_a_failed_batch_writes_no_stdout(specs):
+    # n2 has two coordinates and the element one: exit 2 on the second
+    # model, after the first one's report is rendered
+    paths = [str(specs / "gap23.spec"), str(specs / "n2.spec")]
+    for fmt in ("--json", None):
+        for jobs in ("1", "2"):
+            r = run_cli("closure", *paths, "--element", "2", "--jobs", jobs,
+                        *([fmt] if fmt else []))
+            assert r.returncode == 2 and r.stdout == "", (fmt, jobs)
+            assert "--element vectors have 1 coordinates" in r.stderr
 
 
 def test_parse_errors_name_the_file(tmp_path):

@@ -6,13 +6,13 @@ import time
 import pytest
 
 import bruteforce as bf
-from idealis import corpus
+from idealis import _kernel as K, corpus
 from idealis.classify import PropertyContext
 from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
                             _meager_step, class_group_probe, cofactor,
-                            divides_in_invertibles, is_invertible,
-                            is_radical_in_invertibles, meager_check,
-                            meager_factor, power_depths,
+                            divides_in_invertibles, invertible_radicals,
+                            is_invertible, is_radical_in_invertibles,
+                            meager_check, meager_factor, power_depths,
                             radical_closed_ideals, radical_factor_principal,
                             sp_factor, support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
@@ -172,6 +172,29 @@ def test_free6_coordinatewise_radicals_are_the_cells():
         took = time.perf_counter() - t0
         assert took < 1.0, f"free6 {lbl} took {took:.2f}s"
         assert [J.gens for J in fam] == cells, lbl
+
+
+def test_antichain_budget_trips_on_free6_under_s():
+    """Under s every prime of free 6 is closed, and its 7,828,354
+    antichains are far past the budget: the walk stops within 2 s, the trip
+    is memoised, and a property read off the list ends unknown with the
+    budget's message."""
+    H = free_monoid("free6", 6)
+    s = system("s", H)
+    t0 = time.perf_counter()
+    with pytest.raises(K.BudgetExceeded, match="more than 10000 antichains"):
+        radical_closed_ideals(s)
+    took = time.perf_counter() - t0
+    assert took < 2.0, f"free6 s took {took:.2f}s"
+    assert isinstance(s._cache["radical_closed"], K.BudgetExceeded)
+    with pytest.raises(K.BudgetExceeded, match="more than 10000 antichains"):
+        invertible_radicals(s)
+    ctx = PropertyContext(H, s, 8)
+    for prop in ("radical_fg_invertible", "primes_contain_invertible_radical"):
+        got = ctx.prop(prop)
+        assert got.verdict == "unknown-beyond-radius", prop
+        assert got.note == ("over budget: s-radical closed ideals: more "
+                            "than 10000 antichains of closed primes"), prop
 
 
 def test_radical_closed_family_matches_lattice_filter(n2):

@@ -40,6 +40,23 @@ def test_no_environment_settings():
     assert not found, found
 
 
+def test_one_serializer():
+    # fragments and the whole-document oracle share report.py's canonical
+    # settings, so no other module serializes
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & {"json", "csv"} and path.name != "report.py":
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert not found, found
+
+
 def test_readme_library_example():
     # every "expr  # value" line of the python block evaluates to its value
     text = (ROOT / "README.md").read_text()
