@@ -48,8 +48,10 @@ from .ideals import (
     Ideal,
     ideal_eq,
     ideal_from,
+    ideal_intersect,
     ideal_subset,
     ideal_sum,
+    ideal_union,
     principal,
     radical,
     unit_ideal,
@@ -716,12 +718,20 @@ def _p_modular_system(ctx):
     if lat is None or len(lat) > 16:
         return _u(note="closed-ideal lattice too large for the triple scan")
     proper = [I for I in lat if ctx.proper(I)]
+    # (I u J)_r does not depend on N and J cap N not on I: each is built
+    # once, not once per triple.
+    joins = {}
     for N in proper:
-        for I in proper:
+        meets = [ideal_intersect(J, N) for J in proper]
+        for i, I in enumerate(proper):
             if not ideal_subset(I, N):
                 continue
-            for J in proper:
-                g = modular_law_violation(sys, I, J, N)
+            for j, J in enumerate(proper):
+                joined = joins.get((i, j))
+                if joined is None:
+                    joined = joins[i, j] = close(sys, ideal_union(I, J))
+                g = modular_law_violation(sys, I, J, N, joined=joined,
+                                          met=meets[j])
                 if g is not None:
                     return _f({"I": I, "J": J, "N": N, "element": list(g)},
                               note="modular law fails at the marked element")

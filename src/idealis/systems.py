@@ -14,6 +14,7 @@ modularization never needs more than the face data of its right operand.
 """
 
 import random
+from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product as iproduct
@@ -142,17 +143,28 @@ def r_max_faces(H: MonoidModel, sys: System) -> tuple:
 _LOCAL = (frozenset(),)
 
 
+def _closes_as(sys: System) -> System:
+    """The system sys closes as: sys itself, or, when sys is mod(p, r) on
+    an r-local H, what p closes as.  On an r-local H the one term of the
+    intersection, at face {}, is X_p + H = X_p, so mod(p, r) closes as p
+    does (w as s).  ``close`` and ``axioms_check`` both step by it."""
+    while (sys.kind == "mod"
+           and r_max_faces(sys.monoid, sys.parts[1]) == _LOCAL):
+        sys = sys.parts[0]
+    return sys
+
+
 def close(sys: System, X: Ideal) -> Ideal:
     """sys-closure of a finitely generated ideal, as a canonical Ideal."""
     if X.monoid is not sys.monoid:
         raise ValueError("ideal bound to a different monoid")
-    if sys.kind == "s" or not X.gens:
+    if not X.gens:
+        return X
+    if sys.kind == "mod":
+        sys = _closes_as(sys)
+    if sys.kind == "s":
         return X
     H = sys.monoid
-    if sys.kind == "mod" and r_max_faces(H, sys.parts[1]) == _LOCAL:
-        # H is r-local: the one term of the intersection, at face {}, is
-        # X_p + H = X_p, so mod(p, r) closes as p does (w as s).
-        return close(sys.parts[0], X)
     got = sys._cache.get(X.gens)
     if got is not None:
         return got
@@ -293,27 +305,51 @@ def _draw_stream(H, radius, seed, n, probe_last=True):
     as (gens, probe, extra, c); the draws of h and g for the probe g + h
     are skipped on the last sample unless ``probe_last``."""
     members = H.enumerate(radius)
+    size = len(members)
     below, sample = _sampler(random.Random(seed), members,
                              _box_vectors(H, radius))
     for k in range(1, n + 1):
         gens = sample(1 + below(4))
         probe = None
         if probe_last or k < n:
-            h = members[below(len(members))]
+            h = members[below(size)]
             probe = tuple(map(add, gens[below(len(gens))], h))
         extra = sample(1 + below(2))
-        c = members[below(len(members))]
+        c = members[below(size)]
         yield gens, probe, extra, c
 
 
-def _tape_sample(H, draws, intern=lambda x: x):
-    """One sample: its draws and the ideals built from them, X, Y = X
-    plus ``extra``, and X translated by c."""
-    gens, probe, extra, c = draws
-    X = intern(_trusted_ideal(gens, H))
-    return (intern(gens), intern(probe), X,
-            intern(_trusted_ideal(gens + extra, H)), intern(_translate(X, c)),
-            intern(extra), c)
+def _tape_builder(H):
+    """A function from one sample's draws to its tape entry: the draws and
+    the ideals built from them, X, Y = X plus ``extra``, and X translated
+    by c.  Each distinct generator tuple's Ideal and each distinct shift of
+    an Ideal is built once per builder, and equal tuples and equal Ideals
+    are stored once: an Ideal never equals a tuple, so one dict interns
+    both."""
+    seen = {}
+    ideals = {}
+    shifts = {}
+
+    def intern(x):
+        return seen.setdefault(x, x)
+
+    def ideal(gens):
+        got = ideals.get(gens)
+        if got is None:
+            got = ideals[gens] = intern(_trusted_ideal(gens, H))
+        return got
+
+    def build(draws):
+        gens, probe, extra, c = draws
+        X = ideal(gens)
+        key = (X.gens, c)
+        Xc = shifts.get(key)
+        if Xc is None:
+            Xc = shifts[key] = intern(_translate(X, c))
+        return (intern(gens), intern(probe), X, ideal(gens + extra), Xc,
+                intern(extra), c)
+
+    return build
 
 
 def _axiom_tape(H, samples, radius, seed):
@@ -323,19 +359,14 @@ def _axiom_tape(H, samples, radius, seed):
     The samples are those of the pass path, on which no draw depends on
     the closure: h and g are drawn only when A passes, and a failing
     sample ends the check (``docs/exactness.md``, "One draw tape per
-    model").  Equal tuples and equal Ideals are stored once; an Ideal never
-    equals a tuple, so one dict interns both.
+    model").
     """
     key = ("axiom_tape", samples, radius, seed)
     tape = H.memo.get(key)
     if tape is None:
-        seen = {}
-
-        def intern(x):
-            return seen.setdefault(x, x)
+        build = _tape_builder(H)
         tape = H.memo[key] = tuple(
-            _tape_sample(H, draws, intern)
-            for draws in _draw_stream(H, radius, seed, samples))
+            map(build, _draw_stream(H, radius, seed, samples)))
     return tape
 
 
@@ -359,7 +390,7 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
                 # replayed stream's, not the tape's.
                 *_, draws = _draw_stream(H, radius, seed, done,
                                          probe_last=False)
-                _, _, _, Y, Xc, extra, c = _tape_sample(H, draws)
+                _, _, _, Y, Xc, extra, c = _tape_builder(H)(draws)
                 break
         else:
             if not divisible_any(pack, probe, Xr.gens):
@@ -371,8 +402,9 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
             fail("B", kind="monotonicity", gens=[list(v) for v in gens],
                  extra=[list(v) for v in extra])
         # (C) translation equivariance.
+        # Xc is X translated by c, so it is Xr's translate when Xr is X.
         lhs = close_fn(Xc)
-        rhs = _translate(Xr, c)
+        rhs = Xc if Xr is X else _translate(Xr, c)
         if lhs.gens != rhs.gens:
             fail("C", shift=list(c), gens=[list(v) for v in gens])
         if failures:
@@ -385,9 +417,26 @@ def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
 
 
 def axioms_check(sys: System, samples: int, radius: int, seed: int = 0) -> CheckReport:
-    """Sampled verification of the closure axioms for a bound system."""
-    return _axioms_check_fn(partial(close, sys), sys.monoid, sys.label,
-                            samples, radius, seed)
+    """Sampled verification of the closure axioms for a bound system.
+
+    The outcome is a function of the draw tape and of the closure, so it
+    is kept in the model's memo once per system that closes differently
+    (``_closes_as``): w on a t-local model reads s's, whichever is checked
+    first.  Each call gets its own report, labelled with sys.
+    """
+    H = sys.monoid
+    target = _closes_as(sys)
+    key = ("axioms", target.label, samples, radius, seed)
+    got = H.memo.get(key)
+    if got is None:
+        rep = _axioms_check_fn(partial(close, target), H, target.label,
+                               samples, radius, seed)
+        got = H.memo[key] = (rep.counts, rep.failures)
+    counts, failures = got
+    return CheckReport(f"axioms[{sys.label}]", H.name, samples, radius, seed,
+                       dict(counts),
+                       [{**deepcopy(f), "system": sys.label}
+                        for f in failures])
 
 
 def leq_check(p: System, r: System, samples: int, radius: int = 6,
@@ -418,11 +467,17 @@ def leq_check(p: System, r: System, samples: int, radius: int = 6,
                        seed, {"leq": samples}, failures, strict_witness)
 
 
-def modular_law_violation(sys: System, I: Ideal, J: Ideal, N: Ideal):
+def modular_law_violation(sys: System, I: Ideal, J: Ideal, N: Ideal, *,
+                          joined: Ideal = None, met: Ideal = None):
     """Witness element breaking (I u J)_r cap N into (I u (J cap N))_r, or
-    None.  Requires I inside N."""
-    lhs = ideal_intersect(close(sys, ideal_union(I, J)), N)
-    rhs = close(sys, ideal_union(I, ideal_intersect(J, N)))
+    None.  Requires I inside N.  A caller scanning many triples may pass
+    the (I u J)_r and J cap N it keeps as ``joined`` and ``met``."""
+    if joined is None:
+        joined = close(sys, ideal_union(I, J))
+    if met is None:
+        met = ideal_intersect(J, N)
+    lhs = ideal_intersect(joined, N)
+    rhs = close(sys, ideal_union(I, met))
     for g in lhs.gens:
         if not rhs.contains_vec(g):
             return g

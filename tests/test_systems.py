@@ -282,6 +282,61 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
     assert "witness" in rep.failures[0]
 
 
+def test_shared_axiom_outcome_is_the_unshared_report():
+    """w's report, read from s's outcome wherever H is t-local, equals the
+    report of a check that shares nothing: on every certified corpus model
+    and its localizations, at c01's arguments and at another set on one
+    model, with w checked before s and s reading what w left."""
+    from functools import partial
+
+    from idealis import corpus
+    shared = 0
+    for e in corpus.members():
+        if not e.model.certified:
+            continue
+        H = MonoidModel(e.name, e.model.coords)
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            for args in ((200, 4, 0), (50, 6, 3)):
+                for label in ("w", "s"):
+                    sys = system(label, L)
+                    want = systems._axioms_check_fn(
+                        partial(close, sys), L, label, *args).to_json()
+                    assert axioms_check(sys, *args).to_json() == want, \
+                        (L.name, label, args)
+            shared += systems._closes_as(system("w", L)) is system("s", L)
+    assert shared >= 586
+
+
+def test_shared_axiom_outcome_carries_the_asked_label(monkeypatch, gap23):
+    """A failure in s's closure shows in w's report on a t-local model
+    under w's own label, whichever system is checked first."""
+    from idealis.ideals import Ideal
+    real = systems.close
+
+    def broken_s(sys, X):
+        Y = real(sys, X)
+        return Ideal(Y.monoid, Y.gens[:-1]) if sys.label == "s" else Y
+
+    monkeypatch.setattr(systems, "close", broken_s)
+    for order in ("ws", "sw"):
+        # a fresh memo, so no outcome from an earlier check is read
+        H = MonoidModel(gap23.name, gap23.coords)
+        assert systems._closes_as(system("w", H)) is system("s", H)
+        reps = {label: axioms_check(system(label, H), 200, 4, 0).to_json()
+                for label in order}
+        for label, doc in reps.items():
+            assert doc["what"] == f"axioms[{label}]"
+            assert not doc["ok"] and doc["failures"][0]["axiom"] == "A"
+            assert {f["system"] for f in doc["failures"]} == {label}
+        relabelled = {**reps["s"], "what": "axioms[w]",
+                      "failures": [{**f, "system": "w"}
+                                   for f in reps["s"]["failures"]]}
+        assert reps["w"] == relabelled
+        # each call gets its own failures
+        reps["w"]["failures"][0]["gens"].append("x")
+        assert axioms_check(system("w", H), 200, 4, 0).to_json() == relabelled
+
+
 def test_check_report_is_json_safe(gap23):
     import json
     rep = axioms_check(system("t", gap23), samples=10, radius=4)
