@@ -56,7 +56,7 @@ from .ideals import (
     radical,
     unit_ideal,
 )
-from .monoid import MonoidModel
+from .monoid import MonoidModel, memoised
 from .spectrum import (
     PrimeIdeal,
     UncertifiedModel,
@@ -203,7 +203,7 @@ class PropertyContext:
     """Views shared by every property decided for one (H, r, radius).
 
     A context holds no state of its own: verdicts and views live in the
-    system's memo (``r._cache``) or the model's (``H.memo``), so every
+    system's memo (``r.memo``) or the model's (``H.memo``), so every
     context over the same triple shares them.
     """
 
@@ -211,7 +211,7 @@ class PropertyContext:
         self.monoid = H
         self.sys = sys
         self.radius = radius
-        self._vals = sys._cache.setdefault(("props", radius), {})
+        self._vals = memoised(sys, ("props", radius), dict)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -250,11 +250,8 @@ class PropertyContext:
     # -- views -------------------------------------------------------------
 
     def box(self, radius: int) -> list:
-        key = ("box", radius)
-        got = self.monoid.memo.get(key)
-        if got is None:
-            got = self.monoid.memo[key] = list(self.monoid.enumerate(radius))
-        return got
+        H = self.monoid
+        return memoised(H, ("box", radius), lambda: list(H.enumerate(radius)))
 
     def lattice_at(self, radius: int, cap: int = 5000):
         try:
@@ -273,9 +270,9 @@ class PropertyContext:
         Each cell is closed under every system between s and v on these
         models; ``test_true_branches_hold_on_boxes`` checks that.
         """
-        got = self.sys._cache.get("cells")
-        if got is None:
-            H = self.monoid
+        H = self.monoid
+
+        def build():
             out = []
             cnt = sorted(H.counting)
             for m in range(1, len(cnt) + 1):
@@ -283,17 +280,14 @@ class PropertyContext:
                     out.append((frozenset(S),
                                 Ideal(H, K.cells_gens(H.pack, [S]))))
             out.sort(key=lambda sc: sc[1].gens)
-            got = self.sys._cache["cells"] = tuple(out)
-        return got
+            return tuple(out)
+
+        return memoised(self.sys, "cells", build)
 
     def closed_primes(self):
-        got = self.sys._cache.get("closed_primes")
-        if got is None:
-            closed = set(closed_faces(self.sys))
-            out = [P for P in primes(self.monoid).primes if P.face in closed]
-            out.sort(key=lambda P: (len(P.face), sorted(P.face)))
-            got = self.sys._cache["closed_primes"] = tuple(out)
-        return got
+        # closed_faces is in proper_faces order: (face size, sorted face)
+        return memoised(self.sys, "closed_primes", lambda: tuple(
+            primes(self.monoid).by_face(f) for f in closed_faces(self.sys)))
 
     # Both lists come sorted by (face size, sorted face), like closed_primes.
 
@@ -350,13 +344,14 @@ def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
     "Box scans ignore group coordinates"), and the model's memo keeps it."""
     H = ctx.monoid
     radius = min(ctx.radius, 6)
-    key = ("box_primary", I.gens, radius)
-    if key not in H.memo:
+
+    def scan():
         members = [x for x in ctx.box(radius)
                    if all(c == 0 or m for c, m in zip(x, H.counting_mask))]
-        H.memo[key] = K.primary_violation(H.pack, members, I.gens,
-                                          radical(I).gens) is None
-    return H.memo[key]
+        return K.primary_violation(H.pack, members, I.gens,
+                                   radical(I).gens) is None
+
+    return memoised(H, ("box_primary", I.gens, radius), scan)
 
 
 def _radical_product_search(ctx: PropertyContext, I: Ideal,
@@ -365,10 +360,8 @@ def _radical_product_search(ctx: PropertyContext, I: Ideal,
     ideals, invertible ones only when ``invertible``, equal to I; returns
     the factor list or None.  Nothing in it depends on the radius, so the
     result is kept in the system's memo."""
-    key = ("radical_product", I.gens, invertible)
-    if key not in ctx.sys._cache:
-        ctx.sys._cache[key] = _find_radical_product(ctx.sys, I, invertible)
-    return ctx.sys._cache[key]
+    return memoised(ctx.sys, ("radical_product", I.gens, invertible),
+                    lambda: _find_radical_product(ctx.sys, I, invertible))
 
 
 def _find_radical_product(sys: System, I: Ideal, invertible: bool):

@@ -29,7 +29,7 @@ from .ideals import (
     radical,
     unit_ideal,
 )
-from .monoid import MonoidModel
+from .monoid import MonoidModel, memoised
 from .spectrum import height_one
 from .systems import System, close, closed_faces, power_close, system
 
@@ -133,12 +133,8 @@ def is_invertible(I: Ideal, sys: System) -> bool:
     if I.is_empty:
         raise ValueError("is_invertible: empty ideal")
     _require_closed(I, sys, "is_invertible")
-    key = ("invertible", I.gens)
-    hit = sys._cache.get(key)
-    if hit is None:
-        hit = ideal_eq(close(sys, ideal_sum(I, inverse(I))), unit_ideal(sys.monoid))
-        sys._cache[key] = hit
-    return hit
+    return memoised(sys, ("invertible", I.gens), lambda: ideal_eq(
+        close(sys, ideal_sum(I, inverse(I))), unit_ideal(sys.monoid)))
 
 
 def cofactor(I: Ideal, J: Ideal, sys: System) -> Ideal:
@@ -296,22 +292,16 @@ def radical_closed_ideals(sys: System) -> tuple[Ideal, ...]:
     Raises BudgetExceeded when there are more than _ANTICHAIN_BUDGET
     antichains; the walk stops there, before any meet.  The result, or the
     BudgetExceeded, is memoised."""
-    hit = sys._cache.get("radical_closed")
-    if hit is None:
-        hit = sys._cache["radical_closed"] = _radical_closed(sys)
-    if isinstance(hit, K.BudgetExceeded):
-        # a fresh copy, so the memo holds no traceback and no frames
-        raise K.BudgetExceeded(*hit.args)
-    return hit
+    return memoised(sys, "radical_closed", lambda: _radical_closed(sys))
 
 
 def _radical_closed(sys: System):
-    """radical_closed_ideals' list; a tripped budget is returned."""
+    """radical_closed_ideals' list."""
     H = sys.monoid
     families = list(islice(_antichains(closed_faces(sys), [], 0),
                            _ANTICHAIN_BUDGET + 1))
     if len(families) > _ANTICHAIN_BUDGET:
-        return K.BudgetExceeded(
+        raise K.BudgetExceeded(
             f"{sys.label}-radical closed ideals: more than "
             f"{_ANTICHAIN_BUDGET} antichains of closed primes")
 
@@ -341,11 +331,8 @@ def _antichains(sets, chosen, start):
 
 def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
     """The invertible members of radical_closed_ideals(sys), in its order."""
-    hit = sys._cache.get("invertible_radicals")
-    if hit is None:
-        hit = sys._cache["invertible_radicals"] = tuple(
-            J for J in radical_closed_ideals(sys) if is_invertible(J, sys))
-    return hit
+    return memoised(sys, "invertible_radicals", lambda: tuple(
+        J for J in radical_closed_ideals(sys) if is_invertible(J, sys)))
 
 
 def power_depth(I: Ideal, R: Ideal, sys: System) -> int:

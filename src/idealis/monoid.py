@@ -94,10 +94,12 @@ class MonoidModel:
     and ideals are tied to their model by reference.
 
     Everything derived from the model lives in the plain dict ``memo``, or
-    is reached only through it: its ideal systems (each with its closure
-    cache), its spectrum, its localizations, membership of affine vectors
-    and the verdicts memoised on it.  The memo dies with the model, and
-    ``memo.clear()`` drops it early.  Only the coordinate data itself
+    is reached only through it: its ideal systems (each with its own
+    ``memo`` and closure cache), its spectrum, its localizations,
+    membership of affine vectors and the verdicts memoised on it.  Views
+    enter a memo through ``memoised``, which keeps a tripped
+    ``BudgetExceeded`` as well as a value.  The memo dies with the model,
+    and ``memo.clear()`` drops it early.  Only the coordinate data itself
     (``counting``, ``counting_mask``, ``pack``) is cached as attributes.
     """
 
@@ -183,6 +185,7 @@ class MonoidModel:
         # search is the coordinate sum, hence an explicit stack: a vector
         # is decided once every nonnegative remainder before its first
         # member remainder is decided.
+        # Inline, not through ``memoised``: a DP table that grows as it is read.
         memo = self.memo.setdefault("affine", {})
         memo[(0,) * self._dim] = True
         stack = [g]
@@ -244,23 +247,40 @@ class MonoidModel:
         caller shares one localized model (and whatever its own memo holds).
         """
         face = frozenset(getattr(P, "face", P))
-        key = ("localize", face)
-        got = self.memo.get(key)
-        if got is not None:
-            return got
         if not self.certified:
             raise ValueError("localization needs a certified product model")
         if not face <= set(range(self._dim)):
             raise ValueError(f"face {sorted(face)} out of range")
         if set(self.counting) <= face:
             raise ValueError("not a prime: face covers every counting coordinate")
-        coords = tuple(
-            _GROUP if (i in face and c.kind != "group") else c
-            for i, c in enumerate(self.coords))
-        loc = MonoidModel(f"{self.name}_loc{''.join(str(i) for i in sorted(face))}",
-                          coords)
-        self.memo[key] = loc
-        return loc
+        return memoised(self, ("localize", face), lambda: MonoidModel(
+            f"{self.name}_loc{''.join(str(i) for i in sorted(face))}",
+            tuple(_GROUP if (i in face and c.kind != "group") else c
+                  for i, c in enumerate(self.coords))))
+
+
+_MISSING = object()
+
+
+def memoised(owner, key, compute):
+    """``owner.memo[key]``, computed by ``compute()`` on the first call.
+
+    A ``BudgetExceeded`` raised by ``compute`` is kept as well: the memo
+    holds a copy that was never raised, so it keeps no traceback and no
+    frames alive, and every later call raises a fresh copy of it without
+    computing again.  Any other exception propagates and nothing is kept.
+    """
+    memo = owner.memo
+    got = memo.get(key, _MISSING)
+    if got is _MISSING:
+        try:
+            got = memo[key] = compute()
+        except K.BudgetExceeded as exc:
+            memo[key] = K.BudgetExceeded(*exc.args)
+            raise
+    elif isinstance(got, K.BudgetExceeded):
+        raise K.BudgetExceeded(*got.args)
+    return got
 
 
 def parse_monoid(text: str) -> MonoidModel:

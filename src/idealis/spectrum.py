@@ -13,7 +13,7 @@ pair sweep (``test_is_dvm_matches_pair_sweep_oracle``).
 from dataclasses import dataclass
 
 from .ideals import Ideal, ideal_subset
-from .monoid import MonoidModel
+from .monoid import MonoidModel, memoised
 from .systems import (System, _prime_gens, closed_faces, proper_faces,
                       r_max_faces)
 
@@ -59,16 +59,15 @@ def primes(H: MonoidModel) -> Spectrum:
     """All prime s-ideals.  The height of P_F is the number of counting
     coordinates off F (``docs/exactness.md``, "The face correspondence")."""
     _check_certified(H)
-    got = H.memo.get("spectrum")
-    if got is not None:
-        return got
-    n = len(H.counting)
-    ordered = tuple(
-        PrimeIdeal(H, face, Ideal(H, _prime_gens(H, face)), n - len(face))
-        for face in sorted(proper_faces(H),
-                           key=lambda f: (n - len(f), tuple(sorted(f)))))
-    spec = H.memo["spectrum"] = Spectrum(H, ordered)
-    return spec
+
+    def build():
+        n = len(H.counting)
+        return Spectrum(H, tuple(
+            PrimeIdeal(H, face, Ideal(H, _prime_gens(H, face)), n - len(face))
+            for face in sorted(proper_faces(H),
+                               key=lambda f: (n - len(f), tuple(sorted(f))))))
+
+    return memoised(H, "spectrum", build)
 
 
 def height_one(H: MonoidModel):
@@ -90,7 +89,7 @@ def r_max(H: MonoidModel, sys: System):
     ``test_r_max_is_maximal_on_boxes`` checks that adding any box member
     outside one of them closes to H."""
     spec = primes(H)
-    return [spec.by_face(f) for f in r_max_faces(H, sys)]
+    return [spec.by_face(f) for f in r_max_faces(sys)]
 
 
 def is_dvm(H: MonoidModel) -> str:
@@ -103,10 +102,7 @@ def is_dvm(H: MonoidModel) -> str:
     memoised on H.
     """
     _check_certified(H)
-    got = H.memo.get("dvm")
-    if got is None:
-        got = H.memo["dvm"] = _dvm_verdict(H)
-    return got
+    return memoised(H, "dvm", lambda: _dvm_verdict(H))
 
 
 def _dvm_verdict(H: MonoidModel) -> str:
@@ -120,7 +116,7 @@ def spectrum_json(H: MonoidModel, sys: System) -> dict:
     """The report shape: faces, heights, closure and maximality flags."""
     spec = primes(H)
     closed = set(closed_faces(sys))
-    max_faces = set(r_max_faces(H, sys))
+    max_faces = set(r_max_faces(sys))
     rows = []
     for P in spec.primes:
         rows.append({

@@ -24,7 +24,7 @@ from operator import add, mul
 from . import _kernel as K
 from .ideals import (Ideal, _translate, _trusted_ideal, ideal_eq,
                      ideal_intersect, ideal_subset, ideal_union, unit_ideal)
-from .monoid import MonoidModel
+from .monoid import MonoidModel, memoised
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,7 @@ class System:
     # This system's memo: closed Ideals keyed by the generator tuple they
     # close, plus derived views under string-headed keys.  Reached through
     # its model's memo.
-    _cache: dict = field(default_factory=dict, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
 
     def __repr__(self):
         return f"System({self.label}, {self.monoid.name})"
@@ -60,22 +60,20 @@ def system(token: str, H: MonoidModel) -> System:
     Systems are registered in the model's memo, one per token.
     """
     token = token.strip()
-    key = ("system", token)
-    got = H.memo.get(key)
-    if got is not None:
-        return got
-    if token in ("s", "t", "v"):
-        sys = System(H, token, (), token)
-    elif token == "w":
-        sys = System(H, "mod", (system("s", H), system("t", H)), "w")
-    elif token.startswith("mod(") and token.endswith(")"):
-        left, right = _split_args(token[4:-1])
-        sys = System(H, "mod", (system(left, H), system(right, H)), token)
-        _check_leq_pre(sys)
-    else:
+
+    def build():
+        if token in ("s", "t", "v"):
+            return System(H, token, (), token)
+        if token == "w":
+            return System(H, "mod", (system("s", H), system("t", H)), "w")
+        if token.startswith("mod(") and token.endswith(")"):
+            left, right = _split_args(token[4:-1])
+            sys = System(H, "mod", (system(left, H), system(right, H)), token)
+            _check_leq_pre(sys)
+            return sys
         raise ValueError(f"unknown ideal system {token!r}")
-    H.memo[key] = sys
-    return sys
+
+    return memoised(H, ("system", token), build)
 
 
 def modularization(p: System, r: System) -> System:
@@ -116,26 +114,23 @@ def proper_faces(H: MonoidModel):
 
 def closed_faces(sys: System) -> tuple:
     """Faces of the sys-closed primes, in ``proper_faces`` order."""
-    got = sys._cache.get("closed_faces")
-    if got is None:
-        H = sys.monoid
-        out = []
-        for face in proper_faces(H):
-            P = Ideal(H, _prime_gens(H, face))
-            if close(sys, P).gens == P.gens:
-                out.append(face)
-        got = sys._cache["closed_faces"] = tuple(out)
-    return got
+    H = sys.monoid
+
+    def is_closed(face):
+        P = Ideal(H, _prime_gens(H, face))
+        return close(sys, P).gens == P.gens
+
+    return memoised(sys, "closed_faces",
+                    lambda: tuple(filter(is_closed, proper_faces(H))))
 
 
-def r_max_faces(H: MonoidModel, sys: System) -> tuple:
+def r_max_faces(sys: System) -> tuple:
     """Faces of the maximal sys-closed primes."""
-    got = sys._cache.get("r_max_faces")
-    if got is None:
+    def build():
         closed = closed_faces(sys)
-        got = sys._cache["r_max_faces"] = tuple(
-            f for f in closed if not any(g < f for g in closed))
-    return got
+        return tuple(f for f in closed if not any(g < f for g in closed))
+
+    return memoised(sys, "r_max_faces", build)
 
 
 # r_max_faces of a system whose only maximal closed prime is the maximal
@@ -149,7 +144,7 @@ def _closes_as(sys: System) -> System:
     intersection, at face {}, is X_p + H = X_p, so mod(p, r) closes as p
     does (w as s).  ``close`` and ``axioms_check`` both step by it."""
     while (sys.kind == "mod"
-           and r_max_faces(sys.monoid, sys.parts[1]) == _LOCAL):
+           and r_max_faces(sys.parts[1]) == _LOCAL):
         sys = sys.parts[0]
     return sys
 
@@ -165,7 +160,8 @@ def close(sys: System, X: Ideal) -> Ideal:
     if sys.kind == "s":
         return X
     H = sys.monoid
-    got = sys._cache.get(X.gens)
+    # Inline, not through ``memoised``: the hot path of both perfbench workloads.
+    got = sys.memo.get(X.gens)
     if got is not None:
         return got
     if sys.kind in ("t", "v"):
@@ -173,8 +169,8 @@ def close(sys: System, X: Ideal) -> Ideal:
     else:
         p, r = sys.parts
         gens = K.modular_close_gens(
-            H.pack, close(p, X).gens, r_max_faces(H, r))
-    got = sys._cache[X.gens] = Ideal(H, gens)
+            H.pack, close(p, X).gens, r_max_faces(r))
+    got = sys.memo[X.gens] = Ideal(H, gens)
     return got
 
 
@@ -191,10 +187,11 @@ def power_close(sys: System, I: Ideal, k: int) -> Ideal:
     """
     if k == 0:
         return unit_ideal(sys.monoid)
+    # Inline, not through ``memoised``: the entry is a list that grows.
     key = ("powers", I.gens)
-    seq = sys._cache.get(key)
+    seq = sys.memo.get(key)
     if seq is None:
-        seq = sys._cache[key] = [close(sys, I)]
+        seq = sys.memo[key] = [close(sys, I)]
     pack = sys.monoid.pack
     while len(seq) < k:
         seq.append(close(sys, Ideal(sys.monoid,
@@ -361,13 +358,9 @@ def _axiom_tape(H, samples, radius, seed):
     sample ends the check (``docs/exactness.md``, "One draw tape per
     model").
     """
-    key = ("axiom_tape", samples, radius, seed)
-    tape = H.memo.get(key)
-    if tape is None:
-        build = _tape_builder(H)
-        tape = H.memo[key] = tuple(
-            map(build, _draw_stream(H, radius, seed, samples)))
-    return tape
+    return memoised(H, ("axiom_tape", samples, radius, seed),
+                    lambda: tuple(map(_tape_builder(H),
+                                      _draw_stream(H, radius, seed, samples))))
 
 
 def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
@@ -426,13 +419,14 @@ def axioms_check(sys: System, samples: int, radius: int, seed: int = 0) -> Check
     """
     H = sys.monoid
     target = _closes_as(sys)
-    key = ("axioms", target.label, samples, radius, seed)
-    got = H.memo.get(key)
-    if got is None:
+
+    def run():
         rep = _axioms_check_fn(partial(close, target), H, target.label,
                                samples, radius, seed)
-        got = H.memo[key] = (rep.counts, rep.failures)
-    counts, failures = got
+        return rep.counts, rep.failures
+
+    counts, failures = memoised(
+        H, ("axioms", target.label, samples, radius, seed), run)
     return CheckReport(f"axioms[{sys.label}]", H.name, samples, radius, seed,
                        dict(counts),
                        [{**deepcopy(f), "system": sys.label}
@@ -512,14 +506,8 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     falls back to structural arguments then.  The result, or the
     BudgetExceeded, is memoised per (radius, cap, max_ground).
     """
-    key = ("lattice", radius, cap, max_ground)
-    got = sys._cache.get(key)
-    if got is None:
-        got = sys._cache[key] = _lattice(sys, radius, cap, max_ground)
-    if isinstance(got, K.BudgetExceeded):
-        # a fresh copy, so the memo holds no traceback and no frames
-        raise K.BudgetExceeded(*got.args)
-    return got
+    return memoised(sys, ("lattice", radius, cap, max_ground),
+                    lambda: _lattice(sys, radius, cap, max_ground))
 
 
 def _coordinatewise(sys: System) -> bool:
@@ -535,25 +523,25 @@ def _coordinatewise(sys: System) -> bool:
     H = sys.monoid
     height_one = len(H.counting) - 1
     return ((p.kind == "s" or _coordinatewise(p))
-            and all(len(face) == height_one for face in r_max_faces(H, r)))
+            and all(len(face) == height_one for face in r_max_faces(r)))
 
 
 def _lattice(sys: System, radius: int, cap: int, max_ground: int):
-    """closed_ideals' family; a tripped budget is returned."""
+    """closed_ideals' family."""
     H = sys.monoid
     ground = list(H.enumerate(radius))
     n = len(ground)
     if n > max_ground:
-        return K.BudgetExceeded(
+        raise K.BudgetExceeded(
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
     over = K.BudgetExceeded(
         f"{sys.label}-lattice at radius {radius} exceeds {cap}")
     if not _coordinatewise(sys):
         if sys.kind == "s" and (1 << _widest_level(H, ground)) - 1 > cap:
-            return over
+            raise over
         out = _next_closure(sys, ground, cap)
         if out is None:
-            return over
+            raise over
         return tuple(sorted(out, key=lambda I: I.gens))
     axes = []
     for i in H.counting:
@@ -561,10 +549,10 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
             sys, [v for v in ground if not any(v[:i]) and not any(v[i + 1:])],
             cap)
         if axis is None:
-            return over
+            raise over
         axes.append([I.gens for I in axis])
     if prod(map(len, axes)) > cap:
-        return over
+        raise over
     # A product ideal's generators take one generator per axis ideal and
     # add them up; each is zero off its axis.  Axes in increasing order,
     # each sorted, give them in lex order.

@@ -6,7 +6,7 @@ import time
 import pytest
 
 import bruteforce as bf
-from idealis import _kernel as K, corpus
+from idealis import _kernel as K, corpus, factor
 from idealis.classify import PropertyContext
 from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
                             _meager_step, class_group_probe, cofactor,
@@ -174,11 +174,11 @@ def test_free6_coordinatewise_radicals_are_the_cells():
         assert [J.gens for J in fam] == cells, lbl
 
 
-def test_antichain_budget_trips_on_free6_under_s():
+def test_antichain_budget_trips_on_free6_under_s(monkeypatch):
     """Under s every prime of free 6 is closed, and its 7,828,354
     antichains are far past the budget: the walk stops within 2 s, the trip
-    is memoised, and a property read off the list ends unknown with the
-    budget's message."""
+    is memoised, so asking again walks nothing, and a property read off the
+    list ends unknown with the budget's message."""
     H = free_monoid("free6", 6)
     s = system("s", H)
     t0 = time.perf_counter()
@@ -186,7 +186,13 @@ def test_antichain_budget_trips_on_free6_under_s():
         radical_closed_ideals(s)
     took = time.perf_counter() - t0
     assert took < 2.0, f"free6 s took {took:.2f}s"
-    assert isinstance(s._cache["radical_closed"], K.BudgetExceeded)
+    walks = []
+    walk = factor._antichains
+    monkeypatch.setattr(factor, "_antichains",
+                        lambda *args: walks.append(args) or walk(*args))
+    with pytest.raises(K.BudgetExceeded, match="more than 10000 antichains"):
+        radical_closed_ideals(s)
+    assert walks == []
     with pytest.raises(K.BudgetExceeded, match="more than 10000 antichains"):
         invertible_radicals(s)
     ctx = PropertyContext(H, s, 8)

@@ -126,7 +126,7 @@ def test_modular_close_matches_choice_oracle():
             continue
         for face in proper_faces(e.model):
             L = e.model.localize(face)
-            _close_cases(L, r_max_faces(L, system("t", L)), rng, 12)
+            _close_cases(L, r_max_faces(system("t", L)), rng, 12)
 
 
 def test_modular_close_multi_face_oracle(named, n3, nxz, g23xz):

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from idealis.monoid import (MonoidModel, free_monoid, numerical_monoid,
-                            parse_monoid, product, to_text)
+from idealis import _kernel as K
+from idealis.monoid import (MonoidModel, free_monoid, memoised,
+                            numerical_monoid, parse_monoid, product, to_text)
 
 
 def test_numerical_invariants(gap23, n345, n25):
@@ -162,3 +163,59 @@ def test_localize_rejects_bad_faces(n2, affine1):
 def test_product_rejects_affine(affine1, n2):
     with pytest.raises(ValueError, match="affine"):
         product("bad", n2, affine1)
+
+
+def _counted(compute):
+    calls = []
+
+    def fn():
+        calls.append(None)
+        return compute()
+    return fn, calls
+
+
+def test_memoised_computes_a_value_once():
+    H = numerical_monoid("m23", (2, 3))
+    fn, calls = _counted(lambda: [1, 2])
+    got = memoised(H, "value", fn)
+    assert got == [1, 2]
+    assert memoised(H, "value", fn) is got
+    assert len(calls) == 1
+
+
+def test_memoised_keeps_a_tripped_budget():
+    H = numerical_monoid("m23", (2, 3))
+
+    def trip():
+        raise K.BudgetExceeded("over the test budget")
+    fn, calls = _counted(trip)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(K.BudgetExceeded,
+                           match="over the test budget") as info:
+            memoised(H, "trip", fn)
+        raised.append(info.value)
+    assert len(calls) == 1
+    assert len({id(exc) for exc in raised}) == 3
+    kept = H.memo["trip"]
+    assert isinstance(kept, K.BudgetExceeded)
+    assert kept.args == ("over the test budget",)
+    assert kept.__traceback__ is None
+    assert all(exc is not kept for exc in raised)
+
+
+def test_memoised_keeps_no_other_exception():
+    H = numerical_monoid("m23", (2, 3))
+    outcomes = iter([ValueError("bad input"), "value"])
+
+    def compute():
+        out = next(outcomes)
+        if isinstance(out, Exception):
+            raise out
+        return out
+    fn, calls = _counted(compute)
+    with pytest.raises(ValueError, match="bad input"):
+        memoised(H, "error", fn)
+    assert "error" not in H.memo
+    assert memoised(H, "error", fn) == "value"
+    assert len(calls) == 2

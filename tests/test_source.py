@@ -161,3 +161,32 @@ def test_kernel_functions_have_package_callers():
                  if isinstance(n, ast.Attribute)
                  and getattr(n.value, "id", None) == "K"}
     assert defined and sorted(defined - used) == []
+
+
+# Functions that reach a memo inline: memoised itself, the closure cache
+# on the hot path, the growing list of closed powers and the affine DP table.
+_INLINE_MEMO = {"memoised", "close", "power_close", "_affine_contains"}
+
+
+def _hand_rolled_memos(node):
+    if isinstance(node, ast.FunctionDef) and node.name in _INLINE_MEMO:
+        return
+    if getattr(node, "attr", None) == "_cache" \
+            or getattr(node, "id", None) == "_cache":
+        yield node
+    elif isinstance(node, (ast.Subscript, ast.Attribute)) \
+            and getattr(node.value, "attr", None) == "memo" \
+            and (isinstance(node, ast.Subscript)
+                 or node.attr in ("get", "setdefault")):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _hand_rolled_memos(child)
+
+
+def test_memos_go_through_memoised():
+    # every other view enters a memo through monoid.memoised, the one place
+    # that computes it once and keeps a tripped budget
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in _hand_rolled_memos(ast.parse(path.read_text()))]
+    assert not found, found

@@ -259,7 +259,7 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
             continue
         for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
             t = system("t", L)
-            faces = r_max_faces(L, t)
+            faces = r_max_faces(t)
             ideals = {I for sample in systems._axiom_tape(L, 200, 4, 0)
                       for I in sample[2:5]}
             for label, p in (("w", system("s", L)), ("mod(t,t)", t)):
@@ -269,12 +269,12 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
                         L.pack, close(p, X).gens, faces), (L.name, label)
                 if faces == (frozenset(),):
                     # the shortcut fills no cache of its own
-                    assert not [k for k in sys._cache
+                    assert not [k for k in sys.memo
                                 if k and isinstance(k[0], tuple)], L.name
             local += faces == (frozenset(),)
     assert local >= 586
     # the c01 control on w, which closes as s on gap23, still fails A
-    assert r_max_faces(gap23, system("t", gap23)) == (frozenset(),)
+    assert r_max_faces(system("t", gap23)) == (frozenset(),)
     rep = systems._axioms_check_fn(
         dropped_generator_close(system("w", gap23)), gap23, "control",
         samples=200, radius=4, seed=0)
@@ -418,7 +418,7 @@ def test_free5_w_closure_within_budget():
     H = free_monoid("free5", 5)
     w = system("w", H)
     t0 = time.perf_counter()
-    assert sorted(r_max_faces(H, system("t", H)), key=sorted) == \
+    assert sorted(r_max_faces(system("t", H)), key=sorted) == \
         sorted((frozenset(range(5)) - {i} for i in range(5)), key=sorted)
     for r in (2, 3):
         cell = [tuple(int(i in S) for i in range(5))
