@@ -68,6 +68,7 @@ from .spectrum import (
 )
 from .systems import (
     System,
+    _closes_as,
     close,
     closed_faces,
     closed_ideals,
@@ -249,10 +250,6 @@ class PropertyContext:
 
     # -- views -------------------------------------------------------------
 
-    def box(self, radius: int) -> list:
-        H = self.monoid
-        return memoised(H, ("box", radius), lambda: list(H.enumerate(radius)))
-
     def lattice_at(self, radius: int, cap: int = 5000):
         try:
             return closed_ideals(self.sys, radius, cap=cap, max_ground=360)
@@ -288,14 +285,6 @@ class PropertyContext:
         # closed_faces is in proper_faces order: (face size, sorted face)
         return memoised(self.sys, "closed_primes", lambda: tuple(
             primes(self.monoid).by_face(f) for f in closed_faces(self.sys)))
-
-    # Both lists come sorted by (face size, sorted face), like closed_primes.
-
-    def rmax(self):
-        return r_max(self.monoid, self.sys)
-
-    def x1(self):
-        return height_one(self.monoid)
 
 
 # --------------------------------------------------------------------------
@@ -338,16 +327,22 @@ def _is_power_of(sys: System, I: Ideal, R: Ideal):
     return k if k and power_close(sys, R, k) == I else None
 
 
+def _face(I: Ideal) -> frozenset:
+    """The coordinates on which some generator of I is nonzero."""
+    return frozenset(k for g in I.gens for k, c in enumerate(g) if c)
+
+
 def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
     """Whether the radius-6 box holds no primary violation of I.  The scan
-    skips members with a nonzero group coordinate (``docs/exactness.md``,
-    "Box scans ignore group coordinates"), and the model's memo keeps it."""
+    reads only the members that vanish off I's face (``docs/exactness.md``,
+    "Fixed witnesses stay in their face"), and the model's memo keeps it."""
     H = ctx.monoid
     radius = min(ctx.radius, 6)
 
     def scan():
-        members = [x for x in ctx.box(radius)
-                   if all(c == 0 or m for c, m in zip(x, H.counting_mask))]
+        face = _face(I)
+        members = K.box_members(H.pack, (0,) * H.dim, tuple(
+            radius if k in face else 0 for k in range(H.dim)))
         return K.primary_violation(H.pack, members, I.gens,
                                    radical(I).gens) is None
 
@@ -370,13 +365,17 @@ def _find_radical_product(sys: System, I: Ideal, invertible: bool):
     The depth bound is complete: a factor below a height-one prime P raises
     the largest closed P-power containing the partial product, any factor
     below no height-one prime raises the total counting degree of every
-    member, and both quantities are capped by I itself.
+    member, and both quantities are capped by I itself.  Every factor
+    contains the product, and for a system that closes as s a product
+    stays one when each factor is cut down to I's face
+    (``docs/exactness.md``, "Fixed witnesses stay in their face").
     """
     H = sys.monoid
     universe = invertible_radicals(sys) if invertible \
         else radical_closed_ideals(sys)
-    # every factor contains the product
-    universe = [R for R in universe if ideal_subset(I, R)]
+    face = _face(I) if _closes_as(sys).kind == "s" else None
+    universe = [R for R in universe if ideal_subset(I, R)
+                and (face is None or _face(R) <= face)]
     if not universe:
         return None
     bound = sum(power_depths(I, sys))
@@ -462,7 +461,7 @@ def _no_radical_peel(note):
 @_prop("local")
 def _p_local(ctx):
     """A unique maximal closed prime."""
-    faces = [sorted(P.face) for P in ctx.rmax()]
+    faces = [sorted(P.face) for P in r_max(ctx.sys)]
     if len(faces) == 1:
         return _t(note=f"unique maximal closed prime, face {faces[0]}")
     if not faces:
@@ -477,7 +476,7 @@ def _p_treed(ctx):
     cp = ctx.closed_primes()
     if not cp:
         return _t(note="no closed primes", vacuous=True)
-    for P in ctx.rmax():
+    for P in r_max(ctx.sys):
         below = [q for q in cp if ideal_subset(q.ideal, P.ideal)]
         for a, b in itertools.combinations(below, 2):
             if not (ideal_subset(a.ideal, b.ideal)
@@ -508,9 +507,9 @@ def _localizations_dvm(name, primes_of, where):
 
 # Every localization at a maximal closed prime is a discrete valuation
 # monoid; the same test at every height-one prime.
-_localizations_dvm("almost_dedekind", PropertyContext.rmax,
+_localizations_dvm("almost_dedekind", lambda ctx: r_max(ctx.sys),
                    "maximal closed prime")
-_localizations_dvm("localizations_dvm", PropertyContext.x1,
+_localizations_dvm("localizations_dvm", lambda ctx: height_one(ctx.monoid),
                    "height-one prime")
 
 
@@ -803,7 +802,7 @@ def _p_min_primes_fg_height_one(ctx):
     if not H.counting:
         return _t(note="no nontrivial closed ideals", vacuous=True)
     cnt = set(H.counting)
-    high = [P for P in ctx.rmax() if len(cnt - P.face) >= 2]
+    high = [P for P in r_max(ctx.sys) if len(cnt - P.face) >= 2]
     if not high:
         return _t(note="every proper closed ideal lies under a corank-one "
                        "prime")
@@ -881,7 +880,7 @@ def _p_primes_contain_radical_principal(ctx):
 def _max_eq(name, other, true_note):
     """Register "the maximal closed primes are those of ``other(ctx)``"."""
     def decide(ctx):
-        mx = {P.face for P in ctx.rmax()}
+        mx = {P.face for P in r_max(ctx.sys)}
         oth = {P.face for P in other(ctx)}
         if mx == oth:
             return _t(note=true_note, vacuous=not mx)
@@ -892,10 +891,10 @@ def _max_eq(name, other, true_note):
 
 # Maximal closed primes are exactly the height-one primes; they agree with
 # the t-maximal ones.
-_max_eq("max_eq_height_one", PropertyContext.x1,
+_max_eq("max_eq_height_one", lambda ctx: height_one(ctx.monoid),
         "maximal closed primes and height-one primes coincide")
 _max_eq("max_eq_t_max",
-        lambda ctx: r_max(ctx.monoid, system("t", ctx.monoid)),
+        lambda ctx: r_max(system("t", ctx.monoid)),
         "maximal closed primes for the system are the t-maximal ones")
 
 
@@ -911,7 +910,7 @@ def _p_class_group_trivial(ctx):
     if ctx.regular:
         return _t(note="invertible closed ideals are principal on a free "
                        "by group model")
-    if len(ctx.rmax()) <= 1:
+    if len(r_max(ctx.sys)) <= 1:
         return _t(note="local: the minimum window of an invertible closed "
                        "ideal is principal")
     try:
@@ -929,7 +928,7 @@ def _p_class_group_trivial(ctx):
 def _p_intersection_localizations(ctx):
     """H equals the intersection of its localizations at height-one
     primes."""
-    if not ctx.x1():
+    if not height_one(ctx.monoid):
         return _t(note="no height-one primes, the empty intersection is "
                        "the group itself", vacuous=True)
     return _t(note="an element of every localization clears each "
@@ -1150,17 +1149,16 @@ def _cond_powers_at_height_one(H, radius):
     """Per height-one prime: ideals with that radical are powers of it, and
     the localization direction is half-cancellative.  The half-cancellative
     part holds structurally, so the power part is decided first."""
-    ctx = PropertyContext(H, system("t", H), radius)
-    if not ctx.x1():
+    if not height_one(H):
         return TRUE, None, "no height-one primes", True
-    for P in ctx.x1():
+    for P in height_one(H):
         (i,) = sorted(set(H.counting) - P.face)
         if H.coords[i].atoms == (1,):
             continue
         w = principal(H, _scaled_unit(H, i, H.coords[i].n1))
         if not ideal_eq(radical(w), P.ideal):
             raise AssertionError
-        if _is_power_of(ctx.sys, w, P.ideal) is not None:
+        if _is_power_of(system("t", H), w, P.ideal) is not None:
             raise AssertionError
         return (FALSE, w,
                 "closed ideal with radical the height-one prime on "
@@ -1465,5 +1463,5 @@ def classify(H: MonoidModel, radius: int = 8) -> dict:
         "systems": systems_out,
         "global": glob,
         "suites": suites,
-        "spectrum": spectrum_json(H, t_ctx.sys),
+        "spectrum": spectrum_json(t_ctx.sys),
     }

@@ -174,7 +174,7 @@ def _cmd_spectrum(H: MonoidModel, args) -> dict:
         return _uncertified_report(H, "exact spectrum")
     try:
         sysH = system(args.system, H)
-        body = spectrum_json(H, sysH)
+        body = spectrum_json(sysH)
     except ValueError as exc:
         raise CliError(f"{H.name}: {exc}") from None
     return {"monoid": H.name, "certified": True, "system": sysH.label, **body}

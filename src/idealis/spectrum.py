@@ -84,11 +84,11 @@ def minimal_primes_over(I: Ideal):
             if not any(Q.face > P.face for Q in over)]
 
 
-def r_max(H: MonoidModel, sys: System):
+def r_max(sys: System):
     """Maximal sys-closed primes, one per face of ``r_max_faces``.
     ``test_r_max_is_maximal_on_boxes`` checks that adding any box member
     outside one of them closes to H."""
-    spec = primes(H)
+    spec = primes(sys.monoid)
     return [spec.by_face(f) for f in r_max_faces(sys)]
 
 
@@ -112,9 +112,9 @@ def _dvm_verdict(H: MonoidModel) -> str:
     return "true" if M.height == 1 and M.ideal.is_principal else "false"
 
 
-def spectrum_json(H: MonoidModel, sys: System) -> dict:
+def spectrum_json(sys: System) -> dict:
     """The report shape: faces, heights, closure and maximality flags."""
-    spec = primes(H)
+    spec = primes(sys.monoid)
     closed = set(closed_faces(sys))
     max_faces = set(r_max_faces(sys))
     rows = []

@@ -433,3 +433,36 @@ def radical_closed_by_filter(sys) -> tuple:
             if close(sys, J) == J:
                 out.append(J)
     return tuple(sorted(out, key=lambda J: J.gens))
+
+
+def radical_product_full(sys, I, invertible: bool):
+    """A product of proper radical closed ideals equal to I, or None, by a
+    depth-first search over every such ideal that contains I (only the
+    invertible ones when ``invertible``), to the depth bound of
+    ``classify._find_radical_product``."""
+    from idealis.factor import (invertible_radicals, power_depths,
+                                radical_closed_ideals)
+    from idealis.ideals import ideal_eq, ideal_subset, ideal_sum, unit_ideal
+    from idealis.systems import close
+
+    H = sys.monoid
+    universe = invertible_radicals(sys) if invertible \
+        else radical_closed_ideals(sys)
+    universe = [R for R in universe if ideal_subset(I, R)]
+    bound = sum(power_depths(I, sys))
+    bound += min(sum(g[i] for i in H.counting) for g in I.gens)
+
+    def dfs(cur, start, depth):
+        if ideal_eq(cur, I):
+            return []
+        if depth == 0:
+            return None
+        for idx in range(start, len(universe)):
+            nxt = close(sys, ideal_sum(cur, universe[idx]))
+            if ideal_subset(I, nxt):
+                rest = dfs(nxt, idx, depth - 1)
+                if rest is not None:
+                    return [universe[idx]] + rest
+        return None
+
+    return dfs(unit_ideal(H), 0, bound) if universe else None

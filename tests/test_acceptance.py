@@ -125,9 +125,9 @@ def test_c04_spectrum_goldens(n2, gap23, g23xn):
     for H in (n2, gap23, g23xn):
         for P in primes(H).primes:
             assert bf.is_prime_box(H, P.ideal.gens, 5)
-    assert sorted(sorted(P.face) for P in r_max(g23xn, system("t", g23xn))) \
+    assert sorted(sorted(P.face) for P in r_max(system("t", g23xn))) \
         == [[0], [1]]
-    assert [sorted(P.face) for P in r_max(g23xn, system("s", g23xn))] == [[]]
+    assert [sorted(P.face) for P in r_max(system("s", g23xn))] == [[]]
 
 
 def test_c05_tfae_agreement(corpus_entries):

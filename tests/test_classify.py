@@ -11,10 +11,14 @@ from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 from idealis import _kernel as K
-from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, PropertyContext,
-                              _box_primary, _is_power_of,
-                              _meager_intersection_exists, classify, evaluate,
+from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, UNKNOWN,
+                              PropertyContext, _box_primary,
+                              _find_radical_product, _is_power_of,
+                              _least_singular_principal,
+                              _meager_intersection_exists, _pair_witness,
+                              _scaled_unit, classify, evaluate,
                               property_names, suite_battery, suite_names,
                               tfae_suite)
 from idealis.factor import (is_invertible, meager_factor,
@@ -23,7 +27,7 @@ from idealis.ideals import ideal_from, principal, radical
 from idealis.monoid import (free_monoid, group_monoid, numerical_monoid,
                             parse_monoid, product)
 from idealis.report import dumps
-from idealis.spectrum import UncertifiedModel
+from idealis.spectrum import UncertifiedModel, height_one
 from idealis.systems import close, system
 
 ALL_TRUE = {"n1", "n2", "n3", "nxz", "z1", "z2"}
@@ -294,7 +298,8 @@ def test_free4_classify_within_budget():
 
 
 def test_classify_with_three_group_coordinates_within_budget():
-    # the primary scan skips the 13^3 group positions of every box member
+    # the primary scan reads only the witness's face, never the 13^3 group
+    # positions of a box member
     H = product("g23xz3", numerical_monoid("g23", (2, 3)),
                 group_monoid("z3", 3))
     t0 = time.perf_counter()
@@ -304,29 +309,98 @@ def test_classify_with_three_group_coordinates_within_budget():
     assert all(rep["agreement"] for rep in doc["suites"].values())
 
 
-def test_box_scan_without_group_coordinates_matches_full_box():
-    """A primary violation lies in the box exactly when one lies among its
-    members with zero group coordinates, on products with two or more
-    group coordinates."""
+def test_free5_and_free6_classify_within_budget():
+    # both fixed witnesses are checked in their face (docs/exactness.md).
+    # Beyond the s-lattice's collision scan, free 6 leaves open the five
+    # s-verdicts that read the over-budget antichain walk.
+    over_budget = {"sp", "closed_comparable_radical_product",
+                   "radical_fg_invertible", "radical_fg_principal",
+                   "primes_contain_invertible_radical"}
+    for n, budget, open_s in ((5, 5.0, set()), (6, 10.0, over_budget)):
+        t0 = time.perf_counter()
+        doc = classify(free_monoid(f"free{n}", n), radius=8)
+        took = time.perf_counter() - t0
+        assert took < budget, f"free{n} took {took:.1f}s"
+        for name, rep in doc["suites"].items():
+            assert rep["agreement"], (n, name)
+            assert {c["verdict"] for c in rep["conditions"]} == {"true"}, \
+                (n, name)
+        unknown = {(lbl, p) for lbl, row in doc["systems"].items()
+                   for p, v in row.items() if v["verdict"] == UNKNOWN}
+        unknown |= {("global", p) for p, v in doc["global"].items()
+                    if v["verdict"] == UNKNOWN}
+        assert unknown == {("s", p) for p in open_s | {"cancellative"}}, n
+
+
+def _group_products():
     g23, N, Z = (numerical_monoid("g23", (2, 3)), free_monoid("N", 1),
                  group_monoid("Z", 1))
-    models = [product("g23xz2", g23, Z, Z), product("nxz2", N, Z, Z),
-              product("zxnxz", Z, N, Z), product("n2xz2", N, Z, N, Z)]
+    return {"g23xz2": product("g23xz2", g23, Z, Z),
+            "nxz2": product("nxz2", N, Z, Z),
+            "zxnxz": product("zxnxz", Z, N, Z),
+            "n2xz2": product("n2xz2", N, Z, N, Z)}
+
+
+def _oracle_models(certified):
+    return dict(certified, **_group_products(),
+                free3=free_monoid("free3", 3), free4=free_monoid("free4", 4))
+
+
+def test_box_scan_in_the_face_matches_full_box(certified):
+    """A primary violation lies in the box exactly when one lies among its
+    members that vanish off the ideal's face: checked against the full-box
+    scan on principal and two-generator ideals and, on regular models, on
+    the fallback witness (e_i, 2e_j) of ``ppc``."""
     seen = set()
-    for H in models:
+    for name, H in _oracle_models(certified).items():
         ctx = PropertyContext(H, system("t", H), 2)
-        members = ctx.box(2)
+        members = H.enumerate(2)
         base = [v for v in members
                 if all(c == 0 or m for c, m in zip(v, H.counting_mask))
                 and any(v)]
+        # pairs of members on at most two coordinates keep free 4's scan
+        # small and every pair the products had
+        narrow = [v for v in base if sum(map(bool, v)) <= 2]
         ideals = [principal(H, v) for v in base]
         ideals += [ideal_from([u, v], H)
-                   for u, v in itertools.combinations(base, 2)]
+                   for u, v in itertools.combinations(narrow, 2)]
+        if ctx.regular:
+            ideals += [ideal_from([_scaled_unit(H, i, 1),
+                                   _scaled_unit(H, j, 2)], H)
+                       for i, j in itertools.permutations(H.counting, 2)]
         for I in ideals:
             full = K.primary_violation(H.pack, members, I.gens,
                                        radical(I).gens) is None
-            assert _box_primary(ctx, I) == full, (H.name, I.gens)
+            assert _box_primary(ctx, I) == full, (name, I.gens)
             seen.add(full)
+    assert seen == {True, False}
+
+
+def test_product_search_in_the_face_matches_full_universe(certified):
+    """The search over factors generated in the witness's face finds a
+    product exactly when the search over every radical closed ideal does,
+    in both universes: at each fixed witness a decider searches, and at
+    (2e_i, e_i + e_j) and e_i + e_j, which factor."""
+    seen = set()
+    for name, H in _oracle_models(certified).items():
+        for lbl in ("s", "t", "w", "mod(s,v)"):
+            ctx = PropertyContext(H, system(lbl, H), 8)
+            if ctx.singular:
+                witnesses = [_least_singular_principal(ctx)]
+            elif len(H.counting) >= 2:
+                i, j = sorted(H.counting)[:2]
+                witnesses = [_pair_witness(ctx, 3), _pair_witness(ctx, 2),
+                             principal(H, tuple(int(a in (i, j))
+                                                for a in range(H.dim)))]
+            else:
+                witnesses = []
+            for w in witnesses:
+                for inv in (False, True):
+                    got = _find_radical_product(ctx.sys, w, inv)
+                    want = bf.radical_product_full(ctx.sys, w, inv)
+                    assert (got is None) == (want is None), \
+                        (name, lbl, w.gens, inv)
+                    seen.add(got is None)
     assert seen == {True, False}
 
 
@@ -363,11 +437,11 @@ def test_true_branches_hold_on_boxes(certified):
                 assert close(sys, C) == C, (name, lbl, sorted(S))
         glob = PropertyContext(H, system("t", H), 8)
         if _taken(glob, "radical_factorial"):
-            for v in glob.box(4)[:40]:
+            for v in H.enumerate(4)[:40]:
                 if any(v[i] for i in H.counting):
                     assert radical_factor_principal(H, v).ok, (name, v)
         if _taken(glob, "intersection_localizations"):
-            locs = [H.localize(P.face) for P in glob.x1()]
+            locs = [H.localize(P.face) for P in height_one(H)]
             for v in itertools.product(range(-2, 3), repeat=H.dim):
                 if all(L.contains(v) for L in locs):
                     assert H.contains(v), (name, v)

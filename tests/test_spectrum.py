@@ -83,9 +83,9 @@ def test_minimal_primes_over(n2, gap23):
 
 
 def test_r_max_depends_on_system(n2, g23xn):
-    assert faces(r_max(n2, system("t", n2))) == [[0], [1]]
-    assert faces(r_max(n2, system("s", n2))) == [[]]
-    assert faces(r_max(g23xn, system("t", g23xn))) == [[0], [1]]
+    assert faces(r_max(system("t", n2))) == [[0], [1]]
+    assert faces(r_max(system("s", n2))) == [[]]
+    assert faces(r_max(system("t", g23xn))) == [[0], [1]]
 
 
 def test_r_max_is_maximal_on_boxes(certified):
@@ -96,7 +96,7 @@ def test_r_max_is_maximal_on_boxes(certified):
         box = H.enumerate(3)
         for lbl in ("s", "t", "w"):
             sys = system(lbl, H)
-            for M in r_max(H, sys):
+            for M in r_max(sys):
                 for x in box:
                     if not M.ideal.contains_vec(x):
                         grown = close(sys, ideal_from(M.ideal.gens + (x,), H))
@@ -105,7 +105,7 @@ def test_r_max_is_maximal_on_boxes(certified):
 
 def test_r_max_members_are_closed_primes(n2):
     t = system("t", n2)
-    for P in r_max(n2, t):
+    for P in r_max(t):
         assert close(t, P.ideal) == P.ideal
 
 
@@ -158,7 +158,7 @@ def test_uncertified_raises(affine1):
 
 
 def test_spectrum_json_golden(n2):
-    doc = spectrum_json(n2, system("t", n2))
+    doc = spectrum_json(system("t", n2))
     assert doc == {"primes": [
         {"face": [0], "height": 1, "t_ideal": True, "t_max": True},
         {"face": [1], "height": 1, "t_ideal": True, "t_max": True},
