@@ -194,7 +194,7 @@ def inverse_gens(pack, gens):
             _gens_1d(m, conds[i], frobs[i], tuple(a[i] for a in gens))
             for i, m in enumerate(pack[4])]
     # through a list: a tuple built straight from an iterator keeps the
-    # larger block it grew in, and closure memos hold these tuples
+    # larger block it grew in, and ideals may hold these tuples
     return tuple(list(product(*cols)))
 
 

@@ -31,7 +31,8 @@ from .ideals import (
 )
 from .monoid import MonoidModel, memoised
 from .spectrum import height_one
-from .systems import System, close, closed_faces, power_close, system
+from .systems import (System, _closes_as, close, closed_faces, power_close,
+                      system)
 
 # The longest chain radical_factor_principal, sp_factor and meager_factor
 # build, and the deepest closed power a depth scan looks at; past it chains
@@ -330,9 +331,13 @@ def _antichains(sets, chosen, start):
 
 
 def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
-    """The invertible members of radical_closed_ideals(sys), in its order."""
+    """The invertible members of radical_closed_ideals(sys), in its order.
+    Where sys closes as s they are the principal ones (``docs/exactness.md``,
+    "Invertible radicals under s")."""
+    under_s = _closes_as(sys).kind == "s"
     return memoised(sys, "invertible_radicals", lambda: tuple(
-        J for J in radical_closed_ideals(sys) if is_invertible(J, sys)))
+        J for J in radical_closed_ideals(sys)
+        if (J.is_principal if under_s else is_invertible(J, sys))))
 
 
 def power_depth(I: Ideal, R: Ideal, sys: System) -> int:

@@ -34,8 +34,8 @@ class System:
     parts: tuple = ()             # (p, r) when kind == "mod"
     label: str = ""
     # This system's memo: closed Ideals keyed by the generator tuple they
-    # close, plus derived views under string-headed keys.  Reached through
-    # its model's memo.
+    # close (a closed input is kept as itself), plus derived views under
+    # string-headed keys.  Reached through its model's memo.
     memo: dict = field(default_factory=dict, repr=False)
 
     def __repr__(self):
@@ -150,7 +150,8 @@ def _closes_as(sys: System) -> System:
 
 
 def close(sys: System, X: Ideal) -> Ideal:
-    """sys-closure of a finitely generated ideal, as a canonical Ideal."""
+    """sys-closure of a finitely generated ideal, as a canonical Ideal; X
+    itself when X is closed."""
     if X.monoid is not sys.monoid:
         raise ValueError("ideal bound to a different monoid")
     if not X.gens:
@@ -163,14 +164,21 @@ def close(sys: System, X: Ideal) -> Ideal:
     # Inline, not through ``memoised``: the hot path of both perfbench workloads.
     got = sys.memo.get(X.gens)
     if got is not None:
-        return got
+        return X if got.gens == X.gens else got
     if sys.kind in ("t", "v"):
         gens = K.v_close_gens(H.pack, X.gens)
     else:
         p, r = sys.parts
         gens = K.modular_close_gens(
             H.pack, close(p, X).gens, r_max_faces(r))
-    got = sys.memo[X.gens] = Ideal(H, gens)
+    if gens == X.gens:
+        got = X
+    else:
+        # One object per distinct vector in the model's closures; through
+        # a list, as in ``inverse_gens``.
+        vectors = memoised(H, ("vectors",), dict)
+        got = Ideal(H, tuple([vectors.setdefault(v, v) for v in gens]))
+    sys.memo[X.gens] = got
     return got
 
 
@@ -529,11 +537,14 @@ def _coordinatewise(sys: System) -> bool:
 def _lattice(sys: System, radius: int, cap: int, max_ground: int):
     """closed_ideals' family."""
     H = sys.monoid
-    ground = list(H.enumerate(radius))
-    n = len(ground)
+    # A certified box is counted before it is built: it is the product of
+    # each coordinate's members in [-radius, radius].
+    n = (prod(sum(map(c.member, range(-radius, radius + 1))) for c in H.coords)
+         if H.certified else len(H.enumerate(radius)))
     if n > max_ground:
         raise K.BudgetExceeded(
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")
+    ground = list(H.enumerate(radius))
     over = K.BudgetExceeded(
         f"{sys.label}-lattice at radius {radius} exceeds {cap}")
     if not _coordinatewise(sys):

@@ -159,6 +159,25 @@ def test_antichain_enumeration_matches_subset_filter(certified):
     assert len(radical_closed_ideals(system("s", models["free4"]))) == 166
 
 
+def test_invertible_radicals_under_s_are_the_principal_ones(certified):
+    """Where a system closes as s, invertible_radicals keeps the principal
+    radical closed ideals; that is the is_invertible filter, in its order,
+    under s and w on the named models, free 3 and free 4."""
+    from idealis.systems import _closes_as
+    models = dict(certified, free3=free_monoid("free3", 3),
+                  free4=free_monoid("free4", 4))
+    as_s = 0
+    for name, H in models.items():
+        for lbl in ("s", "w"):
+            sys = system(lbl, H)
+            assert invertible_radicals(sys) == tuple(
+                J for J in radical_closed_ideals(sys)
+                if is_invertible(J, sys)), (name, lbl)
+            as_s += _closes_as(sys).kind == "s"
+    # w closes as s on the t-local models, and as itself on the rest
+    assert len(models) < as_s < 2 * len(models)
+
+
 def test_free6_coordinatewise_radicals_are_the_cells():
     """Under t and w only the height-one primes of free 6 are closed, so its
     radical closed ideals are the 63 single-support cells."""

@@ -337,6 +337,70 @@ def test_shared_axiom_outcome_carries_the_asked_label(monkeypatch, gap23):
         assert axioms_check(system("w", H), 200, 4, 0).to_json() == relabelled
 
 
+def _memo_models(H):
+    """H and every model reached through its memo (its localizations)."""
+    yield H
+    for v in list(H.memo.values()):
+        if isinstance(v, MonoidModel):
+            yield from _memo_models(v)
+
+
+def test_closure_memos_keep_one_object_per_value():
+    """After c01's s, t and w checks and classify, on fresh copies of the
+    certified named models and free 3, and on their localizations: a
+    memoised closure closes to itself, and so does an equal copy of it
+    built from new tuples; and every generator vector of a memoised closure
+    that is not its own input is the object the model's vector table
+    holds."""
+    from idealis import corpus
+    from idealis.classify import classify
+    from idealis.ideals import Ideal
+    models = [MonoidModel(e.name, e.model.coords)
+              for e in corpus.members("named") if e.model.certified]
+    models.append(free_monoid("free3", 3))
+    kept = built = 0
+    for H in models:
+        for label in ("s", "t", "w"):
+            assert axioms_check(system(label, H), samples=200, radius=4,
+                                seed=0).ok
+        classify(H)
+        for L in _memo_models(H):
+            table = L.memo.get(("vectors",), {})
+            for sys in [v for v in L.memo.values()
+                        if isinstance(v, systems.System)]:
+                for key, Y in list(sys.memo.items()):
+                    if not (key and isinstance(key[0], tuple)):
+                        continue
+                    assert close(sys, Y) is Y, (L.name, sys.label, key)
+                    copy = Ideal(L, tuple(tuple(list(v)) for v in Y.gens))
+                    assert close(sys, copy) is copy, (L.name, sys.label, key)
+                    if Y.gens is key:
+                        kept += 1
+                    else:
+                        built += 1
+                        assert all(table[v] is v for v in Y.gens), \
+                            (L.name, sys.label, key)
+    assert kept and built
+
+
+def test_lattice_box_over_budget_is_never_built(monkeypatch):
+    """closed_ideals counts a certified box before it builds it: past
+    max_ground it raises with the box's size and the same message, and the
+    box is never enumerated."""
+    H = parse_monoid("coord = numerical 2 3\ncoord = group 1\ncoord = free 1")
+    n = len(H.enumerate(6))
+
+    def no_box(self, radius):
+        raise AssertionError(f"{self.name}: box of radius {radius} built")
+
+    monkeypatch.setattr(MonoidModel, "enumerate", no_box)
+    for label in ("s", "t", "w"):
+        with pytest.raises(K.BudgetExceeded) as exc:
+            closed_ideals(system(label, H), 6, max_ground=n - 1)
+        assert str(exc.value) == \
+            f"{label}-lattice ground set has {n} > {n - 1} vectors"
+
+
 def test_check_report_is_json_safe(gap23):
     import json
     rep = axioms_check(system("t", gap23), samples=10, radius=4)
