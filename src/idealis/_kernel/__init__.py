@@ -4,12 +4,12 @@ Every routine here operates on a *pack*, the flat description of a finite
 product of one-dimensional coordinate monoids, built by
 ``MonoidModel.pack``:
 
-    pack = (kinds, conds, frobs, tables, masks, atoms)
+    pack = (kinds, conds, tables, masks, atoms)
 
     kinds  -- 0 for a counting coordinate (numerical or free), 1 for a group
     conds  -- conductor: least c with [c, oo) contained in the coordinate
-              monoid (0 for free and group coordinates)
-    frobs  -- Frobenius number, -1 when the coordinate is free or a group
+              monoid (0 for free and group coordinates); the Frobenius
+              number, the largest gap, is always conds[i] - 1
     tables -- per-coordinate bytes of length conds[i]; tables[i][x] is 1
               iff x is a member below the conductor
     masks  -- per-coordinate ``member_mask`` of a counting coordinate, None
@@ -42,7 +42,7 @@ def member1(pack, i, x):
         return False
     if x >= pack[1][i]:
         return True
-    return pack[3][i][x] == 1
+    return pack[2][i][x] == 1
 
 
 def contains(pack, v):
@@ -55,7 +55,7 @@ def contains(pack, v):
 
 def divisible_any(pack, v, gens):
     """Is ``v`` in the module generated by ``gens``?"""
-    kinds, conds, _, tables, _, _ = pack
+    kinds, conds, tables, _, _ = pack
     if len(kinds) == 1 and not kinds[0]:
         # One counting coordinate: v - g must be a member.
         y = v[0]
@@ -84,7 +84,7 @@ def reduce_gens(pack, gens):
     Assumes group coordinates are zeroed in every generator, so a kept
     generator can never be dominated by a later candidate.
     """
-    kinds, conds, _, tables, _, _ = pack
+    kinds, conds, tables, _, _ = pack
     if len(kinds) == 1 and not kinds[0]:
         # One counting coordinate: candidates come in increasing order, so
         # c is dominated iff c - m is a member for a kept m < c, and every
@@ -119,16 +119,15 @@ def reduce_gens(pack, gens):
     return tuple(out)
 
 
-def member_mask(cond, frob, table):
-    """Membership of a counting coordinate with conductor ``cond``,
-    Frobenius number ``frob`` and membership table ``table`` as an int:
-    bit x says x is a member, for x < 2 * cond + frob + 1, the reach of
-    every shift ``_gens_1d`` applies.  0 for a free coordinate, which
-    needs none.
+def member_mask(cond, table):
+    """Membership of a counting coordinate with conductor ``cond`` and
+    membership table ``table`` as an int: bit x says x is a member, for
+    x < 3 * cond, the reach of every shift ``_gens_1d`` applies.  0 for a
+    free coordinate, which needs none.
     """
     if not cond:
         return 0
-    top = 2 * cond + frob + 1
+    top = 3 * cond
     return (int(table[::-1].translate(_BINARY), 2)
             | ((1 << top) - (1 << cond)))
 
@@ -137,15 +136,15 @@ def member_mask(cond, frob, table):
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _gens_1d(member, cond, f, shifts):
+def _gens_1d(member, cond, shifts):
     """Generators over one counting coordinate of {z : z + s is a member
     for every s in ``shifts``}, given the coordinate's membership mask
-    ``member`` (from ``member_mask``), conductor and Frobenius number.
+    ``member`` (from ``member_mask``) and conductor.
 
     ``shifts`` must be nonempty.  The least member m lies in
     [-min(shifts), cond - min(shifts)] and every generator lies in
-    [m, m + f]: past the Frobenius window each candidate is m plus a
-    member, hence redundant.
+    [m, m + cond - 1]: past the Frobenius number cond - 1 each candidate
+    is m plus a member, hence redundant.
     """
     lo = -min(shifts)
     if not cond:
@@ -155,8 +154,8 @@ def _gens_1d(member, cond, f, shifts):
     # is a member, so z + s = u + (s + lo) is a member for every s exactly
     # on the bits of the AND of the shifted masks; a shift with
     # s + lo >= cond sets them all.  The least member m sits at or below
-    # u = cond, and every generator in [m, m + f].
-    width = cond + f + 1
+    # u = cond, and every generator in [m, m + cond - 1].
+    width = 2 * cond
     module = (1 << width) - 1
     for s in shifts:
         s += lo
@@ -165,7 +164,7 @@ def _gens_1d(member, cond, f, shifts):
     u = (module & -module).bit_length() - 1
     # Members of the Frobenius window in increasing order; each generator
     # strikes out everything it divides.
-    rest = module >> u & ((1 << (f + 1)) - 1)
+    rest = module >> u & ((1 << cond) - 1)
     base = lo + u
     out = []
     while rest:
@@ -189,10 +188,10 @@ def inverse_gens(pack, gens):
     """
     if not gens:
         raise ValueError("inverse of the empty module")
-    conds, frobs = pack[1], pack[2]
+    conds = pack[1]
     cols = [(0,) if m is None else
-            _gens_1d(m, conds[i], frobs[i], tuple(a[i] for a in gens))
-            for i, m in enumerate(pack[4])]
+            _gens_1d(m, conds[i], tuple(a[i] for a in gens))
+            for i, m in enumerate(pack[3])]
     # through a list: a tuple built straight from an iterator keeps the
     # larger block it grew in, and ideals may hold these tuples
     return tuple(list(product(*cols)))
@@ -219,12 +218,12 @@ def intersect_gens(pack, a_gens, b_gens):
     """
     if not a_gens or not b_gens:
         return ()
-    conds, frobs, masks = pack[1], pack[2], pack[4]
+    conds, masks = pack[1], pack[3]
     acc = []
     for a in a_gens:
         for b in b_gens:
             cols = [(0,) if m is None else
-                    _gens_1d(m, conds[i], frobs[i], (-a[i], -b[i]))
+                    _gens_1d(m, conds[i], (-a[i], -b[i]))
                     for i, m in enumerate(masks)]
             acc.extend(product(*cols))
     return reduce_gens(pack, acc)
@@ -249,7 +248,7 @@ def cells_gens(pack, supports):
     """Generators of the union of the support cells {x : supp(x) contains S},
     S over ``supports`` (sets of counting coordinates).  A cell is generated
     by the products of atoms over S, zero elsewhere."""
-    atoms = pack[5]
+    atoms = pack[4]
     acc = []
     for s in supports:
         acc.extend(product(*[a if i in s else (0,)
@@ -290,7 +289,7 @@ def modular_close_gens(pack, gens, faces):
     """
     if not gens:
         return ()
-    kinds, conds, frobs = pack[0], pack[1], pack[2]
+    kinds, conds = pack[0], pack[1]
     d = len(kinds)
     if not faces:
         return (tuple([0] * d),)
@@ -301,7 +300,7 @@ def modular_close_gens(pack, gens, faces):
     for i in counting:
         if i not in seen:
             raise ValueError(f"coordinate {i} inverted in every face")
-    tables, masks = pack[3], pack[4]
+    tables, masks = pack[2], pack[3]
     met = {}
 
     def meet(i, col, x):
@@ -314,7 +313,7 @@ def modular_close_gens(pack, gens, faces):
             # elements of their union, in increasing order
             out = []
             for c in sorted({z for t in col
-                             for z in _gens_1d(m, cond, frobs[i], (-t, -x))}):
+                             for z in _gens_1d(m, cond, (-t, -x))}):
                 if out and c - out[0] >= cond:
                     break
                 for y in out:

@@ -106,6 +106,14 @@ class _V:
     note: str = ""
     vacuous: bool = False
 
+    def to_json(self) -> dict:
+        return {
+            "verdict": self.verdict,
+            "witness": _witness_json(self.witness),
+            "note": self.note,
+            "vacuous": self.vacuous,
+        }
+
 
 def _t(note: str = "", vacuous: bool = False) -> _V:
     return _V(TRUE, None, note, vacuous)
@@ -137,18 +145,14 @@ def _witness_json(w):
     return w
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+@dataclass(frozen=True, kw_only=True)
+class PropertyVerdict(_V):
     """One decided property, with provenance of the decision in ``note``."""
 
     monoid: str
     system: str
     prop: str
-    verdict: str
     radius: int
-    witness: object = None
-    note: str = ""
-    vacuous: bool = False
 
     @property
     def holds(self) -> bool:
@@ -159,19 +163,15 @@ class PropertyVerdict:
             "monoid": self.monoid,
             "system": self.system,
             "property": self.prop,
-            "verdict": self.verdict,
             "radius": self.radius,
-            "witness": _witness_json(self.witness),
-            "note": self.note,
-            "vacuous": self.vacuous,
+            **super().to_json(),
         }
 
 
 def _vjson(v: _V) -> dict:
-    out = {"verdict": v.verdict, "witness": _witness_json(v.witness),
-           "note": v.note}
-    if v.vacuous:
-        out["vacuous"] = True
+    out = v.to_json()
+    if not v.vacuous:
+        del out["vacuous"]
     return out
 
 
@@ -201,31 +201,31 @@ def _structurally_modular(sys: System) -> bool:
 
 
 class PropertyContext:
-    """Views shared by every property decided for one (H, r, radius).
+    """Views shared by every property decided for one (r, radius).
 
     A context holds no state of its own: verdicts and views live in the
-    system's memo (``r.memo``) or the model's (``H.memo``), so every
-    context over the same triple shares them.
+    system's memo (``r.memo``) or its model's (``H.memo``), so every
+    context over the same pair shares them.
     """
 
-    def __init__(self, H: MonoidModel, sys: System, radius: int):
-        self.monoid = H
+    def __init__(self, sys: System, radius: int):
+        self.monoid = sys.monoid
         self.sys = sys
         self.radius = radius
-        self._vals = memoised(sys, ("props", radius), dict)
 
     # -- dispatch ----------------------------------------------------------
 
     def prop(self, name: str) -> _V:
-        """The memoised verdict of one property; a budget that trips
-        while it is decided makes it unknown, with the budget's message."""
-        name = _canon(name)
-        if name not in self._vals:
+        """The memoised verdict of the property with canonical ``name``; a
+        budget that trips while it is decided makes it unknown, with the
+        budget's message."""
+        def decide():
             try:
-                self._vals[name] = _REGISTRY[name](self)
+                return _REGISTRY[name](self)
             except K.BudgetExceeded as exc:
-                self._vals[name] = _u(note=f"over budget: {exc}")
-        return self._vals[name]
+                return _u(note=f"over budget: {exc}")
+
+        return memoised(self.sys, ("prop", self.radius, name), decide)
 
     # -- shape -------------------------------------------------------------
 
@@ -1079,14 +1079,10 @@ def property_names() -> tuple:
 # suites
 
 
-@dataclass(frozen=True)
-class Condition:
+@dataclass(frozen=True, kw_only=True)
+class Condition(_V):
     cid: str
     text: str
-    verdict: str
-    witness: object = None
-    note: str = ""
-    vacuous: bool = False
 
     @property
     def group(self) -> str:
@@ -1097,10 +1093,7 @@ class Condition:
         return {
             "id": self.cid,
             "text": self.text,
-            "verdict": self.verdict,
-            "witness": _witness_json(self.witness),
-            "note": self.note,
-            "vacuous": self.vacuous,
+            **super().to_json(),
             "group": self.group,
         }
 
@@ -1125,32 +1118,27 @@ class TfaeReport:
         }
 
 
-def _eval_conjunction(H, radius, cid, text, conjuncts):
+def _eval_conjunction(H, radius, conjuncts) -> _V:
     """Conjuncts are evaluated in listed order and the first exact false
     wins; an unknown is only reported when nothing later refutes."""
     vac = False
     pending = None
     for lbl, prop in conjuncts:
-        v = PropertyContext(H, system(lbl, H), radius).prop(prop)
+        v = PropertyContext(system(lbl, H), radius).prop(prop)
         if v.verdict == FALSE:
-            return Condition(cid, text, FALSE, v.witness,
-                             note=f"{lbl}:{prop}: {v.note}")
+            return _f(v.witness, note=f"{lbl}:{prop}: {v.note}")
         if v.verdict == UNKNOWN and pending is None:
-            pending = (lbl, prop, v)
+            pending = _u(note=f"{lbl}:{prop}: {v.note}")
         vac = vac or v.vacuous
-    if pending is not None:
-        lbl, prop, v = pending
-        return Condition(cid, text, UNKNOWN,
-                         note=f"{lbl}:{prop}: {v.note}")
-    return Condition(cid, text, TRUE, vacuous=vac)
+    return _t(vacuous=vac) if pending is None else pending
 
 
-def _cond_powers_at_height_one(H, radius):
+def _cond_powers_at_height_one(H, radius) -> _V:
     """Per height-one prime: ideals with that radical are powers of it, and
     the localization direction is half-cancellative.  The half-cancellative
     part holds structurally, so the power part is decided first."""
     if not height_one(H):
-        return TRUE, None, "no height-one primes", True
+        return _t(note="no height-one primes", vacuous=True)
     for P in height_one(H):
         (i,) = sorted(set(H.counting) - P.face)
         if H.coords[i].atoms == (1,):
@@ -1160,12 +1148,10 @@ def _cond_powers_at_height_one(H, radius):
             raise AssertionError
         if _is_power_of(system("t", H), w, P.ideal) is not None:
             raise AssertionError
-        return (FALSE, w,
-                "closed ideal with radical the height-one prime on "
-                f"coordinate {i} that is no closed power of it", False)
-    return (TRUE, None,
-            "closed ideals with height-one radical are powers of it and "
-            "coordinate minima grow strictly along products", False)
+        return _f(w, note="closed ideal with radical the height-one prime "
+                          f"on coordinate {i} that is no closed power of it")
+    return _t(note="closed ideals with height-one radical are powers of it "
+                   "and coordinate minima grow strictly along products")
 
 
 def _post_cor38(H, radius, conds):
@@ -1358,10 +1344,6 @@ SUITES = {
     ],
 }
 
-# Checks run over a suite's conditions once they are decided; each returns
-# the suite's note.
-_POSTS = {"Cor3.8": _post_cor38}
-
 
 def suite_names() -> tuple:
     return tuple(SUITES)
@@ -1391,19 +1373,17 @@ def tfae_suite(H: MonoidModel, suite: str, radius: int = 8) -> TfaeReport:
         if isinstance(body, tuple) and body and body[0] == "via":
             deferred.append((len(conds), cid, text, body[1]))
             conds.append(None)
-        elif callable(body):
-            verdict, witness, note, vac = body(H, radius)
-            conds.append(Condition(cid, text, verdict, witness, note,
-                                   vacuous=vac))
-        else:
-            conds.append(_eval_conjunction(H, radius, cid, text, body))
+            continue
+        v = body(H, radius) if callable(body) \
+            else _eval_conjunction(H, radius, body)
+        conds.append(Condition(**vars(v), cid=cid, text=text))
     for pos, cid, text, deps in deferred:
         got = {c.cid: c.verdict for c in conds if c is not None}
         vals = {got[d] for d in deps}
         verdict = vals.pop() if len(vals) == 1 else UNKNOWN
-        conds[pos] = Condition(cid, text, verdict, note="via-equivalents")
-    post = _POSTS.get(suite)
-    note = "" if post is None else post(H, radius, conds)
+        conds[pos] = Condition(verdict=verdict, note="via-equivalents",
+                               cid=cid, text=text)
+    note = _post_cor38(H, radius, conds) if suite == "Cor3.8" else ""
     pools: dict = {}
     for c in conds:
         pools.setdefault(c.group, set()).add(c.verdict)
@@ -1435,10 +1415,9 @@ def evaluate(H: MonoidModel, sys, prop: str, radius: int = 8) -> PropertyVerdict
     if isinstance(sys, str):
         sys = system(sys, H)
     name = _canon(prop)
-    v = PropertyContext(H, sys, radius).prop(name)
-    return PropertyVerdict(monoid=H.name, system=sys.label, prop=name,
-                           verdict=v.verdict, radius=radius,
-                           witness=v.witness, note=v.note, vacuous=v.vacuous)
+    v = PropertyContext(sys, radius).prop(name)
+    return PropertyVerdict(**vars(v), monoid=H.name, system=sys.label,
+                           prop=name, radius=radius)
 
 
 def classify(H: MonoidModel, radius: int = 8) -> dict:
@@ -1451,9 +1430,9 @@ def classify(H: MonoidModel, radius: int = 8) -> dict:
                 "note": str(exc)}
     systems_out = {}
     for lbl in ("s", "w", "t"):
-        ctx = PropertyContext(H, system(lbl, H), radius)
+        ctx = PropertyContext(system(lbl, H), radius)
         systems_out[lbl] = {p: _vjson(ctx.prop(p)) for p in MATRIX_PROPS}
-    t_ctx = PropertyContext(H, system("t", H), radius)
+    t_ctx = PropertyContext(system("t", H), radius)
     glob = {p: _vjson(t_ctx.prop(p)) for p in GLOBAL_PROPS}
     suites = {name: tfae_suite(H, name, radius).to_json() for name in SUITES}
     return {

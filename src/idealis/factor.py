@@ -31,8 +31,8 @@ from .ideals import (
 )
 from .monoid import MonoidModel, memoised
 from .spectrum import height_one
-from .systems import (System, _closes_as, close, closed_faces, power_close,
-                      system)
+from .systems import (System, _closes_as, close, closed_faces, closed_ideals,
+                      power_close, system)
 
 # The longest chain radical_factor_principal, sp_factor and meager_factor
 # build, and the deepest closed power a depth scan looks at; past it chains
@@ -182,11 +182,11 @@ def radical_factor_principal(H: MonoidModel, x) -> FactorChain | Failure:
     The radical of x + H is principal exactly when every counting coordinate
     in the support of x has one atom, so is free.  It is then generated by
     the support's indicator, and what is left after peeling it off has a
-    principal radical again.  So the chain has as many factors as the
-    largest counting coordinate of x, the k-th generated by the indicator of
-    the coordinates where x is at least k.  Past _CHAIN_BUDGET factors the
-    result is Failure("BoundExceeded") with what is left after that many as
-    witness, as in sp_factor.
+    principal radical again, so every radical met is s-invertible: the
+    chain is sp_factor's s-peel.  It has as many factors as the largest
+    counting coordinate of x, the k-th generated by the indicator of the
+    coordinates where x is at least k; past _CHAIN_BUDGET factors it ends
+    as Failure("BoundExceeded").
     """
     x = tuple(int(c) for c in x)
     if not H.contains(x):
@@ -195,14 +195,7 @@ def radical_factor_principal(H: MonoidModel, x) -> FactorChain | Failure:
     rad = radical(target)
     if not rad.is_principal:
         return Failure("NonPrincipalRadical", witness=rad)
-    keep = H.counting_mask
-    length = max((c for m, c in zip(keep, x) if m), default=0)
-    if length > _CHAIN_BUDGET:
-        rest = [c - m * min(c, _CHAIN_BUDGET) for m, c in zip(keep, x)]
-        return Failure("BoundExceeded", witness=principal(H, rest))
-    factors = [Ideal(H, (tuple(int(m and c >= k) for m, c in zip(keep, x)),))
-               for k in range(1, length + 1)]
-    return _chain(system("s", H), target, factors, require_comparable=True)
+    return _peel(target, system("s", H), _sp_step, require_comparable=True)
 
 
 def _peel(I: Ideal, sys: System, step,
@@ -234,7 +227,7 @@ def _sp_step(cur: Ideal, sys: System):
     rad = radical(cur)
     if not ideal_eq(close(sys, rad), rad) or not is_invertible(rad, sys):
         return Failure("RadicalNotInvertible", witness=rad)
-    return (rad,), close(sys, ideal_sum(cur, inverse(rad)))
+    return (rad,), cofactor(rad, cur, sys)
 
 
 def sp_factor(I: Ideal, sys: System) -> FactorChain | Failure:
@@ -375,7 +368,7 @@ def _meager_step(cur: Ideal, sys: System):
     if omega is None:
         return Failure("NoMeagerSet", witness=radical(cur))
     for J in omega:
-        cur = close(sys, ideal_sum(cur, inverse(J)))
+        cur = cofactor(J, cur, sys)
     return omega, cur
 
 
@@ -493,8 +486,6 @@ class ClassGroupProbe:
 def class_group_probe(H: MonoidModel, sys: System, radius: int, cap: int = 4) -> ClassGroupProbe:
     """Enumerate closed invertible ideals in the box; report (non)principality
     and bounded torsion.  The class group itself is never materialized."""
-    from .systems import closed_ideals
-
     invertible = []
     for I in closed_ideals(sys, radius):
         if I.is_empty:

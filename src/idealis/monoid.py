@@ -30,10 +30,14 @@ class Coordinate:
     kind: str                     # "numerical" | "free" | "group"
     gens: tuple[int, ...]         # defining generators (numerical only)
     conductor: int                # least c with [c, oo) contained
-    frobenius: int                # largest gap, -1 when there is none
     n1: int                       # least nonzero member
     table: bytes                  # membership below the conductor
     atoms: tuple[int, ...]        # irreducible members, () for a group
+
+    @property
+    def frobenius(self) -> int:
+        """The largest gap, -1 when there is none."""
+        return self.conductor - 1
 
     def member(self, x: int) -> bool:
         if self.kind == "group":
@@ -79,12 +83,12 @@ def _numerical(gens: tuple[int, ...]) -> Coordinate:
         if member[x] and not any(
             member[x - y] for y in range(1, x) if member[y]))
     kind = "free" if conductor == 0 else "numerical"
-    return Coordinate(kind, g, conductor, conductor - 1, n1,
-                      bytes(member[:conductor]), atoms)
+    return Coordinate(kind, g, conductor, n1, bytes(member[:conductor]),
+                      atoms)
 
 
 _FREE = _numerical((1,))
-_GROUP = Coordinate("group", (), 0, -1, 1, b"", ())
+_GROUP = Coordinate("group", (), 0, 1, b"", ())
 
 
 class MonoidModel:
@@ -163,10 +167,9 @@ class MonoidModel:
         return (
             tuple(1 if c.kind == "group" else 0 for c in self.coords),
             tuple(c.conductor for c in self.coords),
-            tuple(c.frobenius for c in self.coords),
             tuple(c.table for c in self.coords),
             tuple(None if c.kind == "group" else
-                  K.member_mask(c.conductor, c.frobenius, c.table)
+                  K.member_mask(c.conductor, c.table)
                   for c in self.coords),
             tuple(c.atoms for c in self.coords),
         )
@@ -187,8 +190,7 @@ class MonoidModel:
         # search is the coordinate sum, hence an explicit stack: a vector
         # is decided once every nonnegative remainder before its first
         # member remainder is decided.
-        # Inline, not through ``memoised``: a DP table that grows as it is read.
-        memo = self.memo.setdefault("affine", {})
+        memo = memoised(self, "affine", dict)
         memo[(0,) * self._dim] = True
         stack = [g]
         while stack:

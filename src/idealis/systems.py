@@ -195,11 +195,7 @@ def power_close(sys: System, I: Ideal, k: int) -> Ideal:
     """
     if k == 0:
         return unit_ideal(sys.monoid)
-    # Inline, not through ``memoised``: the entry is a list that grows.
-    key = ("powers", I.gens)
-    seq = sys.memo.get(key)
-    if seq is None:
-        seq = sys.memo[key] = [close(sys, I)]
+    seq = memoised(sys, ("powers", I.gens), lambda: [close(sys, I)])
     pack = sys.monoid.pack
     while len(seq) < k:
         seq.append(close(sys, Ideal(sys.monoid,

@@ -118,6 +118,43 @@ def test_vacuous_flag(gap23):
     assert v.verdict == "true" and v.vacuous
 
 
+def test_verdict_json_is_pinned(gap23):
+    # one true, one false and one vacuous verdict, key set and values
+    assert evaluate(gap23, "t", "pit").to_json() == {
+        "monoid": "gap23", "system": "t", "property": "pit", "radius": 8,
+        "verdict": "true", "witness": None, "vacuous": False,
+        "note": "minimal primes over a principal ideal are the support "
+                "cells of its generator, all of corank one"}
+    assert evaluate(gap23, "t", "ppc").to_json() == {
+        "monoid": "gap23", "system": "t", "property": "ppc", "radius": 8,
+        "verdict": "false", "witness": {"gens": [[2]], "kind": "integral"},
+        "vacuous": False,
+        "note": "primary closed ideal with prime radical that is no "
+                "closed power of it"}
+    assert evaluate(gap23, "s", "primary_inclusive", 5).to_json() == {
+        "monoid": "gap23", "system": "s", "property": "primary_inclusive",
+        "radius": 5, "verdict": "true", "witness": None, "vacuous": True,
+        "note": "closed primes are pairwise incomparable"}
+
+
+def test_tripped_budget_is_an_unknown_decided_once(monkeypatch):
+    # prop keeps the unknown in the system's memo per (radius, name): a
+    # second context over the same pair reads it, another radius decides
+    C = sys.modules[classify.__module__]
+    calls = []
+
+    def over_budget(ctx):
+        calls.append(ctx.radius)
+        raise K.BudgetExceeded("test cap")
+
+    monkeypatch.setitem(C._REGISTRY, "pit", over_budget)
+    t = system("t", numerical_monoid("gap23", (2, 3)))
+    for radius in (8, 8, 6):
+        got = PropertyContext(t, radius).prop("pit")
+        assert (got.verdict, got.note) == (UNKNOWN, "over budget: test cap")
+    assert calls == [8, 6]
+
+
 def test_expected_unknowns_and_nothing_else(certified):
     for name, H in certified.items():
         doc = classify(H)
@@ -353,7 +390,7 @@ def test_box_scan_in_the_face_matches_full_box(certified):
     the fallback witness (e_i, 2e_j) of ``ppc``."""
     seen = set()
     for name, H in _oracle_models(certified).items():
-        ctx = PropertyContext(H, system("t", H), 2)
+        ctx = PropertyContext(system("t", H), 2)
         members = H.enumerate(2)
         base = [v for v in members
                 if all(c == 0 or m for c, m in zip(v, H.counting_mask))
@@ -384,7 +421,7 @@ def test_product_search_in_the_face_matches_full_universe(certified):
     seen = set()
     for name, H in _oracle_models(certified).items():
         for lbl in ("s", "t", "w", "mod(s,v)"):
-            ctx = PropertyContext(H, system(lbl, H), 8)
+            ctx = PropertyContext(system(lbl, H), 8)
             if ctx.singular:
                 witnesses = [_least_singular_principal(ctx)]
             elif len(H.counting) >= 2:
@@ -433,9 +470,9 @@ def test_true_branches_hold_on_boxes(certified):
     for name, H in models.items():
         for lbl in ("s", "t", "v", "w", "mod(s,v)"):
             sys = system(lbl, H)
-            for S, C in PropertyContext(H, sys, 8).cells():
+            for S, C in PropertyContext(sys, 8).cells():
                 assert close(sys, C) == C, (name, lbl, sorted(S))
-        glob = PropertyContext(H, system("t", H), 8)
+        glob = PropertyContext(system("t", H), 8)
         if _taken(glob, "radical_factorial"):
             for v in H.enumerate(4)[:40]:
                 if any(v[i] for i in H.counting):
@@ -446,7 +483,7 @@ def test_true_branches_hold_on_boxes(certified):
                 if all(L.contains(v) for L in locs):
                     assert H.contains(v), (name, v)
         for lbl in ("s", "w", "t"):
-            ctx = PropertyContext(H, system(lbl, H), 8)
+            ctx = PropertyContext(system(lbl, H), 8)
             sys = ctx.sys
             # a 3-d model's radius-8 lattice is over budget, a radius-2 one
             # still gives ideals to check

@@ -214,7 +214,7 @@ def test_antichain_budget_trips_on_free6_under_s(monkeypatch):
     assert walks == []
     with pytest.raises(K.BudgetExceeded, match="more than 10000 antichains"):
         invertible_radicals(s)
-    ctx = PropertyContext(H, s, 8)
+    ctx = PropertyContext(s, 8)
     for prop in ("radical_fg_invertible", "primes_contain_invertible_radical"):
         got = ctx.prop(prop)
         assert got.verdict == "unknown-beyond-radius", prop
@@ -303,7 +303,7 @@ def test_meager_peel_lowers_the_measure(certified):
     peeled = 0
     for name, H in certified.items():
         for lbl in ("s", "w", "t"):
-            ctx = PropertyContext(H, system(lbl, H), 8)
+            ctx = PropertyContext(system(lbl, H), 8)
             sys = ctx.sys
             lat = ctx.lattice() or ctx.lattice_at(2)
             for I in lat:

@@ -163,9 +163,9 @@ def test_kernel_functions_have_package_callers():
     assert defined and sorted(defined - used) == []
 
 
-# Functions that reach a memo inline: memoised itself, the closure cache
-# on the hot path, the growing list of closed powers and the affine DP table.
-_INLINE_MEMO = {"memoised", "close", "power_close", "_affine_contains"}
+# Functions that reach a memo inline: memoised itself and the closure cache
+# on the hot path.
+_INLINE_MEMO = {"memoised", "close"}
 
 
 def _hand_rolled_memos(node):
