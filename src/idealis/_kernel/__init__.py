@@ -268,105 +268,40 @@ def box_members(pack, lo, hi):
     return [v for v in product(*cols)]
 
 
-def modular_close_gens(pack, gens, faces):
-    """Intersection of the face-localised copies of the module.
+def modular_close_gens(pack, gens):
+    """The coordinatewise hull of the module: the product over the
+    coordinates of pi_i X + H_i, with (0,) on a group coordinate.
 
-    ``faces`` lists, for each maximal ideal of the target system, the set of
-    counting coordinates inverted in the localisation (group coordinates are
-    implicitly inverted everywhere).  An element z lies in the closure iff
-    for every face F there is a generator a with z - a a member on every
-    coordinate outside F, i.e. z lies in the union over a of a + H_F.
-
-    The intersection is taken one face at a time over a list of terms,
-    each a product of one-dimensional modules: coordinate i of a term is
-    None while no face constrains it, else the generators of a module of
-    the i-th coordinate.  Meeting a term with a + H_F meets each coordinate
-    outside F with a_i + H_i.  Between faces every term contained in
-    another is dropped: if A is inside B, then A cap T is inside B cap T
-    for every later face term T, so the union does not change.  The final
-    ``reduce_gens`` keeps the module's minimal elements, which are the
-    same whatever generating set it is given.
+    Given the generators of X_p, this is the mod(p, r)-closure of X
+    wherever H is not r-local: r's maximal closed primes are then exactly
+    the height-one ones, each localisation leaves one counting coordinate
+    uninverted, and their intersection is the product
+    (``docs/exactness.md``, "Modularization as a finite intersection").
+    Each column holds the minimal elements of its coordinate's values plus
+    H_i, in increasing order, so the product is canonical, as in
+    ``inverse_gens``.
     """
     if not gens:
         return ()
-    kinds, conds = pack[0], pack[1]
-    d = len(kinds)
-    if not faces:
-        return (tuple([0] * d),)
-    counting = [i for i in range(d) if not kinds[i]]
-    # the counting coordinates each face leaves uninverted
-    rows = [[i for i in counting if i not in face] for face in faces]
-    seen = set().union(*rows)
-    for i in counting:
-        if i not in seen:
-            raise ValueError(f"coordinate {i} inverted in every face")
-    tables, masks = pack[2], pack[3]
-    met = {}
-
-    def meet(i, col, x):
-        """The i-th coordinate module ``col`` meet x + H_i."""
-        key = (i, col, x)
-        got = met.get(key)
-        if got is None:
-            m, cond, table = masks[i], conds[i], tables[i]
-            # (t + H_i) cap (x + H_i) per generator t, then the minimal
-            # elements of their union, in increasing order
-            out = []
-            for c in sorted({z for t in col
-                             for z in _gens_1d(m, cond, (-t, -x))}):
-                if out and c - out[0] >= cond:
+    conds, tables = pack[1], pack[2]
+    cols = []
+    for i, kind in enumerate(pack[0]):
+        if kind:
+            cols.append((0,))
+            continue
+        # reduce_gens' one-coordinate loop, over the i-th column
+        cond, table = conds[i], tables[i]
+        out = []
+        for c in sorted({a[i] for a in gens}):
+            if out and c - out[0] >= cond:
+                break
+            for y in out:
+                if table[c - y] == 1:
                     break
-                for y in out:
-                    if table[c - y] == 1:
-                        break
-                else:
-                    out.append(c)
-            got = met[key] = tuple(out)
-        return got
-
-    def within(small, big):
-        """Is the term ``small`` inside the term ``big``?"""
-        for i in counting:
-            b = big[i]
-            if b is None:
-                continue
-            a = small[i]
-            if a is None:
-                return False
-            cond, table = conds[i], tables[i]
-            for c in a:
-                for y in b:
-                    x = c - y
-                    if x >= cond or (x >= 0 and table[x] == 1):
-                        break
-                else:
-                    return False
-        return True
-
-    terms = [(None,) * d]
-    for j, row in enumerate(rows):
-        grown = {}
-        for term in terms:
-            for a in gens:
-                t = list(term)
-                for i in row:
-                    col = term[i]
-                    t[i] = (a[i],) if col is None else meet(i, col, a[i])
-                grown[tuple(t)] = None
-        terms = list(grown)
-        if j == len(rows) - 1:
-            break
-        kept = []
-        for t in terms:
-            if any(within(t, u) for u in kept):
-                continue
-            kept = [u for u in kept if not within(u, t)]
-            kept.append(t)
-        terms = kept
-    acc = []
-    for t in terms:
-        acc.extend(product(*[(0,) if kinds[i] else t[i] for i in range(d)]))
-    return reduce_gens(pack, acc)
+            else:
+                out.append(c)
+        cols.append(tuple(out))
+    return tuple(list(product(*cols)))
 
 
 def primary_violation(pack, members, gens_i, gens_rad):

@@ -477,10 +477,10 @@ def _p_treed(ctx):
     if not cp:
         return _t(note="no closed primes", vacuous=True)
     for P in r_max(ctx.sys):
-        below = [q for q in cp if ideal_subset(q.ideal, P.ideal)]
+        # P_F lies inside P_G exactly when G is inside F
+        below = [q for q in cp if P.face <= q.face]
         for a, b in itertools.combinations(below, 2):
-            if not (ideal_subset(a.ideal, b.ideal)
-                    or ideal_subset(b.ideal, a.ideal)):
+            if not (a.face <= b.face or b.face <= a.face):
                 return _f({"under_face": sorted(P.face), "left": a.ideal,
                            "right": b.ideal},
                           note="incomparable closed primes under one "
@@ -681,9 +681,7 @@ _prime_power("strong_ppc", False,
 def _p_primary_inclusive(ctx):
     """Between nested closed primes there is a primary closed ideal."""
     cp = ctx.closed_primes()
-    pairs = [(P, Q) for P in cp for Q in cp
-             if P is not Q and ideal_subset(P.ideal, Q.ideal)]
-    if not pairs:
+    if not any(Q.face < P.face for P in cp for Q in cp):
         return _t(note="closed primes are pairwise incomparable",
                   vacuous=True)
     if ctx.prop("modular_system").verdict == TRUE:
@@ -914,7 +912,7 @@ def _p_class_group_trivial(ctx):
         return _t(note="local: the minimum window of an invertible closed "
                        "ideal is principal")
     try:
-        probe = class_group_probe(H, ctx.sys, min(ctx.radius, 6), cap=4)
+        probe = class_group_probe(ctx.sys, min(ctx.radius, 6), cap=4)
     except K.BudgetExceeded as exc:
         return _u(note=f"the closed-ideal lattice is over budget: {exc}")
     if probe.nonprincipal:

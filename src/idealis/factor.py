@@ -483,7 +483,7 @@ class ClassGroupProbe:
         }
 
 
-def class_group_probe(H: MonoidModel, sys: System, radius: int, cap: int = 4) -> ClassGroupProbe:
+def class_group_probe(sys: System, radius: int, cap: int = 4) -> ClassGroupProbe:
     """Enumerate closed invertible ideals in the box; report (non)principality
     and bounded torsion.  The class group itself is never materialized."""
     invertible = []
@@ -500,7 +500,7 @@ def class_group_probe(H: MonoidModel, sys: System, radius: int, cap: int = 4) ->
                 torsion.append((J, k))
                 break
     return ClassGroupProbe(
-        monoid=H.name,
+        monoid=sys.monoid.name,
         system=sys.label,
         radius=radius,
         invertible_count=len(invertible),

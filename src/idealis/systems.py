@@ -7,10 +7,12 @@ A ``System`` is bound to its monoid.  Closure of a finitely generated ideal:
     t (and v)  -- double inverse of the generator set; on finitely generated
                   input the two coincide, and only such input ever arises
     mod(p, r)  -- intersection of the localizations of the p-closure at the
-                  r-maximal ideals; w is mod(s, t)
+                  r-maximal ideals: the p-closure itself when H is r-local,
+                  else its coordinatewise hull; w is mod(s, t)
 
 Maximal closed primes are computed structurally from the face lattice, so a
-modularization never needs more than the face data of its right operand.
+modularization needs no more of its right operand than whether H is
+r-local.
 """
 
 import random
@@ -168,9 +170,7 @@ def close(sys: System, X: Ideal) -> Ideal:
     if sys.kind in ("t", "v"):
         gens = K.v_close_gens(H.pack, X.gens)
     else:
-        p, r = sys.parts
-        gens = K.modular_close_gens(
-            H.pack, close(p, X).gens, r_max_faces(r))
+        gens = K.modular_close_gens(H.pack, close(sys.parts[0], X).gens)
     if gens == X.gens:
         got = X
     else:

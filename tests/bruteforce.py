@@ -382,7 +382,7 @@ def modular_close_choice(H, gens, faces) -> tuple:
     of z with z - phi(F)_i a member for every face F leaving i counting;
     the closure is the union of the terms, n^k of them for n generators
     and k faces.  A counting coordinate inverted in every face is a
-    ValueError, as in the kernel.
+    ValueError.
     """
     if not gens:
         return ()

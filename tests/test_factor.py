@@ -335,10 +335,10 @@ def test_support_witness_needs_principal_cells(gap23):
 
 
 def test_class_group_probe(n2, gap23):
-    doc = class_group_probe(n2, system("t", n2), 4).to_json()
+    doc = class_group_probe(system("t", n2), 4).to_json()
     assert doc["trivial_within_radius"] is True
     assert doc["invertible_count"] == doc["principal_count"] == 25
     assert doc["nonprincipal"] == []
-    doc = class_group_probe(gap23, system("t", gap23), 6).to_json()
+    doc = class_group_probe(system("t", gap23), 6).to_json()
     assert doc["invertible_count"] == 6
     assert doc["trivial_within_radius"] is True

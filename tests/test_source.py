@@ -190,3 +190,17 @@ def test_memos_go_through_memoised():
              for path in sorted(SRC.rglob("*.py"))
              for node in _hand_rolled_memos(ast.parse(path.read_text()))]
     assert not found, found
+
+
+def test_bench_kernel_runs(capsys):
+    # benchmarks/bench_kernel.py is run by hand only: one call per
+    # workload keeps its call forms in step with the kernel.
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_kernel", ROOT / "benchmarks" / "bench_kernel.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.main(["--number", "1", "--repeat", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.rsplit(None, 1)[0].strip() for row in rows] == \
+        [label for label, *_ in bench.workloads()]

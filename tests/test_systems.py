@@ -10,7 +10,7 @@ import pytest
 import bruteforce as bf
 from idealis import _kernel as K
 from idealis import systems
-from idealis.ideals import ideal_from, ideal_subset
+from idealis.ideals import Ideal, ideal_from, ideal_subset
 from idealis.monoid import MonoidModel, free_monoid, parse_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
                              dropped_generator_close, leq_check,
@@ -245,12 +245,60 @@ def test_failing_sample_replays_its_own_draws(certified):
     assert replayed > 0
 
 
+def test_maximal_faces_are_local_or_height_one(certified):
+    """Every system's maximal closed primes are the maximal ideal alone or
+    exactly the height-one primes (``docs/exactness.md``, "Modularization
+    as a finite intersection").  On the certified named models, free 3,
+    free 4 and two mixed products, and on every localization of these.
+    Each modularization also closes every prime and four random ideals as
+    the choice-function product of its left operand's closure over its
+    right operand's maximal faces: the closed primes the lemma counts do
+    not come from the hull alone, and the hull is taken of the left
+    operand's closure."""
+    tokens = ("s", "t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)",
+              "mod(w,t)", "mod(s,w)", "mod(mod(s,s),t)", "mod(s,mod(s,s))",
+              "mod(w,w)")
+    models = [MonoidModel(name, H.coords) for name, H in certified.items()]
+    models += [free_monoid("free3", 3), free_monoid("free4", 4),
+               parse_monoid("name = g23xn3\ncoord = numerical 2 3\n"
+                            "coord = free 3"),
+               parse_monoid("name = n345xg23xzxn\ncoord = numerical 3 4 5\n"
+                            "coord = numerical 2 3\ncoord = group 1\n"
+                            "coord = free 1")]
+    rng = random.Random(67)
+    seen = set()
+    for H in models:
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            faces = systems.proper_faces(L)
+            height_one = tuple(f for f in faces
+                               if len(f) == len(L.counting) - 1)
+            ideals = [Ideal(L, systems._prime_gens(L, f)) for f in faces]
+            keep = L.counting_mask
+            ideals += [ideal_from([[k * rng.randint(0, 6) for k in keep]
+                                   for _ in range(rng.randint(1, 3))], L)
+                       for _ in range(4)]
+            for token in tokens:
+                sys = system(token, L)
+                got = r_max_faces(sys)
+                assert got in ((frozenset(),), height_one), (L.name, token)
+                seen.add((len(L.counting) > 1, got == height_one))
+                if sys.kind != "mod":
+                    continue
+                p, r = sys.parts
+                for X in ideals:
+                    assert close(sys, X).gens == bf.modular_close_choice(
+                        L, close(p, X).gens, r_max_faces(r)), (L.name, token)
+    # local and height-one systems both occur from two counting coordinates
+    assert seen == {(False, True), (True, False), (True, True)}
+
+
 def test_local_modularization_closes_as_its_left_operand(gap23):
     """When r's only maximal closed prime is the maximal ideal, mod(p, r)
-    returns the p-closure.  Against the full face intersection, for w and
-    mod(t,t) on every certified corpus model and its localizations, over
-    the ideals a c01 sample draws.  (The localization at the empty face is
-    the model itself.)"""
+    returns the p-closure.  On every certified corpus model and its
+    localizations, for w and mod(t,t), over the ideals a c01 sample draws,
+    against the coordinatewise hull of the p-closure, which a t-local
+    model, having one counting coordinate, leaves as it is.  (The
+    localization at the empty face is the model itself.)"""
     from idealis import corpus
     local = 0
     for e in corpus.members():
@@ -266,7 +314,7 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
                 sys = system(label, L)
                 for X in ideals:
                     assert close(sys, X).gens == K.modular_close_gens(
-                        L.pack, close(p, X).gens, faces), (L.name, label)
+                        L.pack, close(p, X).gens), (L.name, label)
                 if faces == (frozenset(),):
                     # the shortcut fills no cache of its own
                     assert not [k for k in sys.memo
