@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import multiprocessing
 import os
+import pickle
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from pathlib import Path
 
 from . import __version__, corpus as corpus_mod, report as report_mod
@@ -228,22 +229,114 @@ def _run_models(specs, worker, args) -> list:
     model, in input order.
 
     Models are independent, so with more than one worker they run in
-    worker processes; the worker function must pickle.  A single worker
-    runs the same task in-process.
+    forked worker processes (see _forked); only their results cross back,
+    so the worker function need not pickle.  A single worker runs the
+    same task in-process.
     """
     task = functools.partial(_task, worker, args)
-    texts = [text for _, text in specs]
-    workers = _worker_count(args.jobs, len(texts), _cpus())
+    workers = _worker_count(args.jobs, len(specs), _cpus())
     if workers <= 1:
-        return _collect(specs, map(task, texts))
-    # fork, not spawn: the pool forks every worker before it starts a
-    # thread and the CLI runs none, so no lock is copied mid-update, and
-    # no worker re-imports the package.  spawn's vfork-then-exec lets a
-    # SIGSTOP to the process group stop a child before its exec, which
-    # leaves the CLI in uninterruptible sleep and the group never stopped.
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return _collect(specs, pool.map(task, texts))
+        return _collect(specs, map(task, (text for _, text in specs)))
+    return _collect(specs, _forked(task, specs, workers))
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without a usable result."""
+
+
+class _Traceback(Exception):
+    """A worker's formatted traceback, chained as the cause of the
+    exception it sends back."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _forked(task, specs, workers: int):
+    """Yield the task's result on each spec text in input order, from
+    ``workers`` forked processes: model i runs in worker i mod workers.
+
+    Each worker runs its whole share, stopping at its first exception,
+    and only then pickles its results (and that exception) into its own
+    pipe, so it never waits on the parent while it has models left.  The
+    parent reads every pipe and reaps every worker before it yields; in
+    their place it raises the exception of the first failing model in
+    input order, or ``WorkerError`` for a worker that died without a
+    result.  On any exception it kills the workers not yet reaped first.
+
+    fork, not spawn: the CLI starts no thread, so no lock is copied
+    mid-update, and no worker re-imports the package.  Nothing execs, so
+    a SIGSTOP to the process group never finds a child between vfork and
+    exec, where spawn's children leave the CLI in uninterruptible sleep
+    and the group never stopped.
+    """
+    pipes = {}                          # pid -> read end, until reaped
+    try:
+        for k in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_end)
+                _serve(task, specs[k::workers], write_end)
+            os.close(write_end)
+            pipes[pid] = open(read_end, "rb")
+        shares = []
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                try:
+                    share = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    share = None
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            if share is None:
+                raise WorkerError(
+                    f"worker process {pid} ended (exit status "
+                    f"{os.waitstatus_to_exitcode(status)}) without sending "
+                    "the results of its models")
+            shares.append(share)
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(len(specs)):
+        results, failure = shares[i % workers]
+        if i // workers < len(results):
+            yield results[i // workers]
+        else:
+            exc, tb = pickle.loads(failure)
+            raise exc from _Traceback(tb)
+
+
+def _serve(task, share, fd: int):
+    """A forked worker's whole life: run the task on each spec text of its
+    share, stop at the first exception, and write (results, failure) to
+    the pipe ``fd``, pickled, failure being the pickled (exception,
+    traceback text) or None.  An exception that does not survive a pickle
+    round trip is sent as a ``WorkerError`` naming its model.  Leaves by
+    ``os._exit``, so no inherited buffer is flushed twice and no caller's
+    cleanup runs in the worker."""
+    code = 1
+    try:
+        results, failure = [], None
+        for name, text in share:
+            try:
+                results.append(task(text))
+            except Exception as exc:
+                tb = traceback.format_exc()
+                try:
+                    failure = pickle.dumps((exc, tb))
+                    pickle.loads(failure)
+                except Exception:
+                    failure = pickle.dumps((WorkerError(
+                        f"{name}: {type(exc).__qualname__}: {exc}"), tb))
+                break
+        with open(fd, "wb") as pipe:
+            pickle.dump((results, failure), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _collect(specs, results) -> list:

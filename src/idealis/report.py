@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import sys
 import time
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _string
 
 SCHEMA = 1
 
@@ -32,14 +33,68 @@ def envelope(version: str, command: str, config: dict, reports: list) -> dict:
     }
 
 
-def dumps(doc) -> str:
+def dumps(doc, depth: int = 0) -> str:
     """Canonical serialization.
 
     Sorted keys, two-space indent, fixed separators, ASCII escapes: equal
-    documents serialize to equal bytes on every platform.
+    documents serialize to equal bytes on every platform.  The bytes are
+    those of ``json.dumps(doc, indent=2, sort_keys=True, separators=(",",
+    ": "), ensure_ascii=True)`` plus a final newline, written directly
+    rather than through the stdlib's pure-Python indenting encoder.  A
+    value json cannot serialize, or a key that is not a string, raises
+    ``TypeError``.  At ``depth`` d > 0 the text is doc as it stands d
+    levels inside a document: every line indented 2d spaces, no final
+    newline.
     """
-    return json.dumps(doc, indent=2, sort_keys=True,
-                      separators=(",", ": "), ensure_ascii=True) + "\n"
+    out = ["  " * depth]
+    _write(doc, "\n" + "  " * depth, out)
+    if not depth:
+        out.append("\n")
+    return "".join(out)
+
+
+def _write(value, nl: str, out: list) -> None:
+    """Append the canonical JSON of value to out; nl is a newline and the
+    indent of the line value starts on."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _string(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if math.isfinite(value) else
+                   "NaN" if value != value else
+                   "Infinity" if value > 0 else "-Infinity")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
 
 
 def _cell(value) -> str:
@@ -80,9 +135,9 @@ def json_frame(version: str, command: str, config: dict) -> tuple:
 
 def json_fragment(rep) -> str:
     """One report as it stands inside the envelope's ``reports`` array:
-    its ``dumps`` with every line indented four spaces and no final
-    newline.  Strings are escaped, so every newline is the layout's."""
-    return "    " + dumps(rep)[:-1].replace("\n", "\n    ")
+    its ``dumps`` at depth 2, every line indented four spaces and no final
+    newline."""
+    return dumps(rep, 2)
 
 
 def csv_lines(rows) -> str:

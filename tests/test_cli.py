@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -328,6 +329,91 @@ def test_worker_failure_propagates():
                            timeout=120)
         assert r.returncode == 0, r.stderr
         assert r.stdout == "builtins ValueError nxz: deliberate failure\n"
+
+
+BATCH = ("gap23", "nxz", "n2", "z1")     # workers: gap23, n2 | nxz, z1
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # --jobs 2 forks two workers on any host
+    monkeypatch.setattr(cli, "_cpus", lambda: 2)
+
+
+def test_forked_workers_share_the_batch_round_robin(two_cpus):
+    # a closure does not pickle, and need not: only results cross back
+    parent = os.getpid()
+
+    def worker(H, args):
+        return {"monoid": H.name, "certified": True, "pid": os.getpid(),
+                "parent": os.getppid() == parent}
+
+    results = cli._run_models(_named_specs(*BATCH), worker, _batch_args(2))
+    reports = [json.loads(fragment) for fragment, _ in results]
+    assert [doc["monoid"] for doc in reports] == list(BATCH)
+    pids = [doc["pid"] for doc in reports]
+    assert pids[0] == pids[2] != pids[1] == pids[3]
+    assert parent not in pids and all(doc["parent"] for doc in reports)
+
+
+@pytest.mark.parametrize("failing, first", [
+    (("nxz", "n2"), "nxz"),         # the second worker's comes first
+    (("gap23", "nxz"), "gap23"),    # the first worker's comes first
+])
+def test_first_failure_in_input_order_is_raised(two_cpus, failing, first):
+    def worker(H, args):
+        if H.name in failing:
+            raise ValueError(H.name)
+        return {"monoid": H.name, "certified": True}
+
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        cli._run_models(_named_specs(*BATCH), worker, _batch_args(2))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_worker_ends_the_batch(two_cpus):
+    # the first worker dies on gap23 while the second sleeps: the batch
+    # ends at once with an error, and the sleeper is killed and reaped
+    def worker(H, args):
+        if H.name == "gap23":
+            os._exit(3)
+        time.sleep(60)
+
+    t0 = time.monotonic()
+    with pytest.raises(cli.WorkerError, match="exit status 3"):
+        cli._run_models(_named_specs(*BATCH), worker, _batch_args(2))
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+class TwoArgumentError(Exception):
+    # pickles, but cannot be rebuilt from its args
+    def __init__(self, name, detail):
+        super().__init__(f"{name}: {detail}")
+
+
+def _unpicklable(name):
+    exc = ValueError(f"{name}: holds a closure")
+    exc.hook = lambda: None
+    return exc
+
+
+@pytest.mark.parametrize("make", [
+    lambda name: TwoArgumentError(name, "no round trip"), _unpicklable,
+], ids=["unpickles-badly", "does-not-pickle"])
+def test_an_exception_that_will_not_pickle_names_its_model(two_cpus, make):
+    def worker(H, args):
+        if H.name == "nxz":
+            raise make(H.name)
+        return {"monoid": H.name, "certified": True}
+
+    with pytest.raises(cli.WorkerError, match="^nxz: "):
+        cli._run_models(_named_specs(*BATCH), worker, _batch_args(2))
+    _no_child_left()
 
 
 def whole_document(args, reports) -> str:

@@ -1,6 +1,9 @@
 """Checks on the package source and the README's library example."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from idealis import _kernel as K
@@ -55,6 +58,18 @@ def test_one_serializer():
             if names & {"json", "csv"} and path.name != "report.py":
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert not found, found
+
+
+def test_cli_imports_no_process_pool():
+    # the CLI forks its workers itself; multiprocessing and
+    # concurrent.futures would add their import time to every start
+    code = ("import sys, idealis.cli; print(sorted({m.split('.')[0] for m in "
+            "sys.modules} & {'multiprocessing', 'concurrent'}))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC.parent) + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, env=env, check=True)
+    assert r.stdout == "[]\n"
 
 
 def test_readme_library_example():
