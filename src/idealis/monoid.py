@@ -99,14 +99,14 @@ class MonoidModel:
 
     Everything derived from the model lives in the plain dict ``memo``, or
     is reached only through it: its ideal systems (each with its own
-    ``memo`` and closure cache), the vector table its closures share (one
-    object per distinct generator vector, under ``("vectors",)``), its
-    spectrum, its localizations, membership of affine vectors and the
-    verdicts memoised on it.  Views enter a memo through ``memoised``,
-    which keeps a tripped ``BudgetExceeded`` as well as a value.  The memo
-    dies with the model, and ``memo.clear()`` drops it early.  Only the
-    coordinate data itself (``counting``, ``counting_mask``, ``pack``) is
-    cached as attributes.
+    ``memo`` and closure cache), the tables its closures share (one object
+    per closure value under ``("closures",)``, one per distinct generator
+    vector under ``("vectors",)``), its spectrum, its localizations,
+    membership of affine vectors and the verdicts memoised on it.  Views
+    enter a memo through ``memoised``, which keeps a tripped
+    ``BudgetExceeded`` as well as a value.  The memo dies with the model,
+    and ``memo.clear()`` drops it early.  Only the coordinate data itself
+    (``counting``, ``counting_mask``, ``pack``) is cached as attributes.
     """
 
     def __init__(self, name, coords=(), affine_gens=None):

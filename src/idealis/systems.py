@@ -36,8 +36,9 @@ class System:
     parts: tuple = ()             # (p, r) when kind == "mod"
     label: str = ""
     # This system's memo: closed Ideals keyed by the generator tuple they
-    # close (a closed input is kept as itself), plus derived views under
-    # string-headed keys.  Reached through its model's memo.
+    # close, each the one object its model keeps for its value (see
+    # ``close``), plus derived views under string-headed keys.  Reached
+    # through its model's memo.
     memo: dict = field(default_factory=dict, repr=False)
 
     def __repr__(self):
@@ -171,15 +172,21 @@ def close(sys: System, X: Ideal) -> Ideal:
         gens = K.v_close_gens(H.pack, X.gens)
     else:
         gens = K.modular_close_gens(H.pack, close(sys.parts[0], X).gens)
-    if gens == X.gens:
-        got = X
-    else:
-        # One object per distinct vector in the model's closures; through
-        # a list, as in ``inverse_gens``.
-        vectors = memoised(H, ("vectors",), dict)
-        got = Ideal(H, tuple([vectors.setdefault(v, v) for v in gens]))
+    # One object per closure value in the model's memos: the first closed
+    # input with the value, kept as itself, or else one built for it.
+    values = memoised(H, ("closures",), dict)
+    got = values.get(gens)
+    if got is None:
+        if gens == X.gens:
+            got = X
+        else:
+            # One object per distinct vector in the model's closures;
+            # through a list, as in ``inverse_gens``.
+            vectors = memoised(H, ("vectors",), dict)
+            got = Ideal(H, tuple([vectors.setdefault(v, v) for v in gens]))
+        values[got.gens] = got
     sys.memo[X.gens] = got
-    return got
+    return X if got.gens == X.gens else got
 
 
 def modular_close(p: System, r: System, X: Ideal) -> Ideal:
@@ -320,94 +327,140 @@ def _draw_stream(H, radius, seed, n, probe_last=True):
         yield gens, probe, extra, c
 
 
+# The bits of a tape entry's ``new``: the checks whose input no earlier
+# sample had.  X's covers both checks that read X alone.
+_NEW_X = 1          # A's generator loop and B's idempotence, keyed on X
+_NEW_PROBE = 2      # A's probe, keyed on (X, probe)
+_NEW_Y = 4          # B's monotonicity, keyed on (X, Y)
+_NEW_SHIFT = 8      # C, keyed on (X, c)
+
+
 def _tape_builder(H):
-    """A function from one sample's draws to its tape entry: the draws and
-    the ideals built from them, X, Y = X plus ``extra``, and X translated
-    by c.  Each distinct generator tuple's Ideal and each distinct shift of
-    an Ideal is built once per builder, and equal tuples and equal Ideals
-    are stored once: an Ideal never equals a tuple, so one dict interns
-    both."""
-    seen = {}
-    ideals = {}
-    shifts = {}
+    """A function from sample k's draws to its tape entry, or to None when
+    every check input of the sample repeats an earlier sample's.
+
+    An entry is (k, gens, probe, X, Y, Xc, extra, c, new): the draws, the
+    ideals built from them (X, Y = X plus ``extra`` and Xc = X translated
+    by c) and the bitmask ``new`` of the sample's checks whose input is
+    new.  Each distinct Ideal is built once per builder and interned by
+    its canonical generator tuple, each distinct shift of X is built once,
+    and equal draw tuples are stored once.
+    """
+    tuples = {}
+    ideals = {}         # canonical generators -> the one Ideal
+    drawn = {}          # drawn generators -> their Ideal
+    shifts = {}         # (X.gens, c) -> Xc
+    xs, probes, ys = set(), set(), set()
 
     def intern(x):
-        return seen.setdefault(x, x)
+        return tuples.setdefault(x, x)
 
     def ideal(gens):
-        got = ideals.get(gens)
+        got = drawn.get(gens)
         if got is None:
-            got = ideals[gens] = intern(_trusted_ideal(gens, H))
+            I = _trusted_ideal(gens, H)
+            got = drawn[gens] = ideals.setdefault(I.gens, I)
         return got
 
-    def build(draws):
+    def first(seen, key):
+        if key in seen:
+            return False
+        seen.add(key)
+        return True
+
+    def build(k, draws):
         gens, probe, extra, c = draws
         X = ideal(gens)
-        key = (X.gens, c)
-        Xc = shifts.get(key)
+        Y = ideal(gens + extra)
+        key = X.gens
+        new = ((first(xs, key) and _NEW_X)
+               | (first(probes, (key, probe)) and _NEW_PROBE)
+               | (first(ys, (key, Y.gens)) and _NEW_Y))
+        Xc = shifts.get((key, c))
         if Xc is None:
-            Xc = shifts[key] = intern(_translate(X, c))
-        return (intern(gens), intern(probe), X, ideal(gens + extra), Xc,
-                intern(extra), c)
+            new |= _NEW_SHIFT
+            Xc = _translate(X, c)
+            Xc = shifts[key, c] = ideals.setdefault(Xc.gens, Xc)
+        if not new:
+            return None
+        return (k, intern(gens), intern(probe), X, Y, Xc, intern(extra), c,
+                new)
 
     return build
 
 
 def _axiom_tape(H, samples, radius, seed):
-    """Every sample of the axiom check at these arguments, drawn once per
-    model and read by every system checked with them.
+    """The samples of the axiom check at these arguments that hold a new
+    check input, drawn once per model and read by every system checked
+    with them.
 
     The samples are those of the pass path, on which no draw depends on
     the closure: h and g are drawn only when A passes, and a failing
-    sample ends the check (``docs/exactness.md``, "One draw tape per
-    model").
+    sample ends the check.  A closure is a function of its input, so a
+    check on an input an earlier sample had can only repeat that sample's
+    pass; such a sample is left out, and an entry's ``new`` names the
+    checks to run (``docs/exactness.md``, "One draw tape per model").
     """
     return memoised(H, ("axiom_tape", samples, radius, seed),
-                    lambda: tuple(map(_tape_builder(H),
-                                      _draw_stream(H, radius, seed, samples))))
+                    lambda: tuple(filter(None, map(
+                        _tape_builder(H), range(1, samples + 1),
+                        _draw_stream(H, radius, seed, samples)))))
 
 
 def _axioms_check_fn(close_fn, H, label, samples, radius, seed):
     _check_samples(samples)
     pack = H.pack
     divisible_any = K.divisible_any
+    closed = {}         # X.gens -> close_fn(X), once per distinct X
     failures = []
 
     def fail(axiom, **kw):
         failures.append({"axiom": axiom, "system": label, **kw})
 
-    for done, (gens, probe, X, Y, Xc, extra, c) in enumerate(
-            _axiom_tape(H, samples, radius, seed), 1):
-        Xr = close_fn(X)
-        # (A) extension: X + H inside the closure.
-        for g in gens:
-            if not divisible_any(pack, g, Xr.gens):
-                fail("A", witness=list(g), gens=[list(v) for v in gens])
-                # This sample drew no h and g: its extra and c are the
-                # replayed stream's, not the tape's.
-                *_, draws = _draw_stream(H, radius, seed, done,
-                                         probe_last=False)
-                _, _, _, Y, Xc, extra, c = _tape_builder(H)(draws)
-                break
+    # Each entry runs the checks whose input is new (``_axiom_tape``).  A
+    # new X makes every input of its sample new, so a sample that fails
+    # A's loop runs every check; a check any other failing sample skips
+    # repeats an earlier pass.
+    done = samples
+    for k, gens, probe, X, Y, Xc, extra, c, new in _axiom_tape(
+            H, samples, radius, seed):
+        if new & _NEW_X:
+            Xr = closed[X.gens] = close_fn(X)
+            # (A) extension: X + H inside the closure.  The generators lie
+            # in X and Xr is a module, so they lie in Xr just when X does.
+            miss = next((g for g in gens
+                         if not divisible_any(pack, g, Xr.gens)), None)
         else:
-            if not divisible_any(pack, probe, Xr.gens):
-                fail("A", witness=list(probe), gens=[list(v) for v in gens])
+            Xr = closed[X.gens]
+            miss = None
+        if miss is not None:
+            fail("A", witness=list(miss), gens=[list(v) for v in gens])
+            # This sample drew no h and g: its extra and c are the
+            # replayed stream's, not the tape's.
+            *_, (_, _, extra, c) = _draw_stream(H, radius, seed, k,
+                                                probe_last=False)
+            Y, Xc = _trusted_ideal(gens + extra, H), _translate(X, c)
+        elif new & _NEW_PROBE and not divisible_any(pack, probe, Xr.gens):
+            fail("A", witness=list(probe), gens=[list(v) for v in gens])
         # (B) monotone closure, via idempotence plus monotonicity.
-        if close_fn(Xr).gens != Xr.gens:
+        if new & _NEW_X and close_fn(Xr).gens != Xr.gens:
             fail("B", kind="idempotence", gens=[list(v) for v in gens])
-        if not ideal_subset(Xr, close_fn(Y)):
+        if new & _NEW_Y and not ideal_subset(Xr, close_fn(Y)):
             fail("B", kind="monotonicity", gens=[list(v) for v in gens],
                  extra=[list(v) for v in extra])
         # (C) translation equivariance.
         # Xc is X translated by c, so it is Xr's translate when Xr is X.
-        lhs = close_fn(Xc)
-        rhs = Xc if Xr is X else _translate(Xr, c)
-        if lhs.gens != rhs.gens:
-            fail("C", shift=list(c), gens=[list(v) for v in gens])
+        if new & _NEW_SHIFT:
+            rhs = Xc if Xr is X else _translate(Xr, c)
+            if close_fn(Xc).gens != rhs.gens:
+                fail("C", shift=list(c), gens=[list(v) for v in gens])
         if failures:
+            done = k
             break
-    # Each sample run checks A, B and C once.  (D) holds by construction:
-    # closures only ever see finite generator sets.  Recorded, not tested.
+    # Each sample up to the last one run has had A, B and C checked on its
+    # inputs, by itself or by an earlier sample with equal ones.  (D) holds
+    # by construction: closures only ever see finite generator sets.
+    # Recorded, not tested.
     counts = {"A": done, "B": done, "C": done, "D": samples}
     return CheckReport(f"axioms[{label}]", H.name, samples, radius, seed,
                        counts, failures)

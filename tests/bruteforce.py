@@ -466,3 +466,66 @@ def radical_product_full(sys, I, invertible: bool):
         return None
 
     return dfs(unit_ideal(H), 0, bound) if universe else None
+
+
+@functools.lru_cache(maxsize=4)
+def _every_sample_inputs(H, samples, radius, seed) -> tuple:
+    """Each sample's draws (gens, probe, extra, c) with its ideals X, Y =
+    X plus ``extra`` and X + c, built afresh.  Cached, so that the checks
+    of several systems on one model in turn draw and build them once."""
+    from idealis.ideals import _translate, _trusted_ideal
+    from idealis.systems import _draw_stream
+
+    out = []
+    for gens, probe, extra, c in _draw_stream(H, radius, seed, samples):
+        X = _trusted_ideal(gens, H)
+        out.append((gens, probe, extra, c, X, _trusted_ideal(gens + extra, H),
+                    _translate(X, c)))
+    return tuple(out)
+
+
+def axioms_every_sample(close_fn, H, label, samples, radius, seed):
+    """The sampled axiom check with every check run on every sample, as
+    ``systems._axioms_check_fn`` ran before its tape kept only the samples
+    with a new check input: A (each drawn generator, then the probe g + h,
+    in the closure), B (idempotence, then monotonicity under X plus
+    ``extra``) and C (closing X + c gives the closure plus c), the first
+    failing sample ending the check.  A sample whose generator loop fails
+    A drew no h and g, so its ``extra`` and c are read from the stream
+    replayed without them, and its Y and X + c are built from those."""
+    from idealis.ideals import _translate, _trusted_ideal, ideal_subset
+    from idealis.systems import CheckReport, _draw_stream
+
+    failures = []
+
+    def fail(axiom, **kw):
+        failures.append({"axiom": axiom, "system": label, **kw})
+
+    done = 0
+    for done, (gens, probe, extra, c, X, Y, Xc) in enumerate(
+            _every_sample_inputs(H, samples, radius, seed), 1):
+        Xr = close_fn(X)
+        gs = [list(v) for v in gens]
+        miss = [g for g in gens if not Xr.contains_vec(g)]
+        if miss:
+            fail("A", witness=list(miss[0]), gens=gs)
+            *_, (_, _, extra, c) = _draw_stream(H, radius, seed, done,
+                                                probe_last=False)
+            Y = _trusted_ideal(gens + extra, H)
+            Xc = _translate(X, c)
+        elif not Xr.contains_vec(probe):
+            fail("A", witness=list(probe), gens=gs)
+        if close_fn(Xr).gens != Xr.gens:
+            fail("B", kind="idempotence", gens=gs)
+        if not ideal_subset(Xr, close_fn(Y)):
+            fail("B", kind="monotonicity", gens=gs,
+                 extra=[list(v) for v in extra])
+        # C compares generator tuples: the closure's, moved by c as they
+        # stand, against those of the closure of X + c.
+        if close_fn(Xc).gens != _translate(Xr, c).gens:
+            fail("C", shift=list(c), gens=gs)
+        if failures:
+            break
+    counts = {"A": done, "B": done, "C": done, "D": samples}
+    return CheckReport(f"axioms[{label}]", H.name, samples, radius, seed,
+                       counts, failures)

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from functools import partial
 from operator import add
 
 import pytest
@@ -160,16 +161,32 @@ def _tape_models(certified):
 
 @pytest.mark.parametrize("samples,radius,seed", [(200, 4, 0), (50, 6, 3)])
 def test_axiom_tape_is_the_sampler_stream(certified, samples, radius, seed):
+    """The draw stream is the pass path's, and the tape holds, in order,
+    exactly the samples with a new check input: each at its index, with
+    its draws, its ideals and the bits of its new checks."""
     for H in _tape_models(certified):
         tape = systems._axiom_tape(H, samples, radius, seed)
-        assert [t[:2] + t[5:] for t in tape] == \
-            _pass_path_draws(H, samples, radius, seed)
-        for gens, _, X, Y, Xc, extra, c in tape:
-            assert X == ideal_from(gens, H)
-            assert Y == ideal_from(gens + extra, H)
-            assert Xc == ideal_from([tuple(map(add, c, g)) for g in gens], H)
+        stream = list(systems._draw_stream(H, radius, seed, samples))
+        assert stream == _pass_path_draws(H, samples, radius, seed)
+        seen = set()
+        want = []
+        for k, (gens, probe, extra, c) in enumerate(stream, 1):
+            X = ideal_from(gens, H)
+            Y = ideal_from(gens + extra, H)
+            Xc = ideal_from([tuple(map(add, c, g)) for g in gens], H)
+            new = 0
+            for bit, key in ((systems._NEW_X, ("X", X.gens)),
+                             (systems._NEW_PROBE, ("probe", X.gens, probe)),
+                             (systems._NEW_Y, ("Y", X.gens, Y.gens)),
+                             (systems._NEW_SHIFT, ("shift", X.gens, c))):
+                if key not in seen:
+                    seen.add(key)
+                    new |= bit
+            if new:
+                want.append((k, gens, probe, X, Y, Xc, extra, c, new))
+        assert list(tape) == want
         # equal ideals are one object
-        ideals = [I for t in tape for I in t[2:5]]
+        ideals = [I for t in tape for I in t[3:6]]
         assert len({id(I) for I in ideals}) == len({I.gens for I in ideals})
         assert systems._axiom_tape(H, samples, radius, seed) is tape
 
@@ -209,7 +226,8 @@ def test_axiom_reports_do_not_depend_on_check_order(certified, samples,
 def test_failing_sample_replays_its_own_draws(certified):
     """A sample failing A inside the generator loop draws no h and g, so
     its extra and c are not the tape's.  A control run after passing
-    checks on one model reports exactly what it reports on a fresh one."""
+    checks on one model reports exactly what it reports on a fresh one,
+    which is what the every-sample oracle reports."""
     from idealis.ideals import Ideal
 
     def doubling(H):
@@ -224,6 +242,8 @@ def test_failing_sample_replays_its_own_draws(certified):
             fresh = MonoidModel(H.name, H.coords)
             want = systems._axioms_check_fn(broken(fresh), fresh, "control",
                                             200, 4, 0).to_json()
+            assert want == bf.axioms_every_sample(
+                broken(fresh), fresh, "control", 200, 4, 0).to_json()
             used = MonoidModel(H.name, H.coords)
             for label in ("s", "t", "w"):
                 assert axioms_check(system(label, used), 200, 4, 0).ok
@@ -239,10 +259,127 @@ def test_failing_sample_replays_its_own_draws(certified):
             k = got["counts"]["A"]
             shifts = [f["shift"] for f in got["failures"] if f["axiom"] == "C"]
             if first["witness"] in first["gens"] and shifts:
-                tape_c = systems._axiom_tape(used, 200, 4, 0)[k - 1][6]
-                replayed += shifts[0] != list(tape_c)
+                *_, (_, _, _, stream_c) = systems._draw_stream(used, 4, 0, k)
+                replayed += shifts[0] != list(stream_c)
     # the replay changed a reported shift somewhere, so the check has teeth
     assert replayed > 0
+
+
+def test_axiom_check_is_the_every_sample_oracle():
+    """The check, which runs each distinct check input once, reports what
+    the oracle that runs every check on every sample reports: for s, t and
+    w on every certified corpus model and its localizations, at c01's
+    arguments, at analyze's with seed 1 and at (50, 6, 3).  w is held
+    against the oracle where it closes differently from s; on a t-local
+    model ``close`` closes w as s, so its closure function is s's."""
+    from idealis import corpus
+    for e in corpus.members():
+        if not e.model.certified:
+            continue
+        H = MonoidModel(e.name, e.model.coords)
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            labels = {systems._closes_as(system(label, L)).label
+                      for label in ("s", "t", "w")}
+            for args in ((200, 4, 0), (200, 6, 1), (50, 6, 3)):
+                for label in sorted(labels):
+                    close_fn = partial(close, system(label, L))
+                    want = bf.axioms_every_sample(close_fn, L, label, *args)
+                    got = systems._axioms_check_fn(close_fn, L, label, *args)
+                    assert got.to_json() == want.to_json(), \
+                        (L.name, label, args)
+
+
+def _failed_by(f, check, probe):
+    """Is the failure f one of ``check``'s?"""
+    if check == "A loop":
+        return f["axiom"] == "A" and f["witness"] in f["gens"]
+    if check == "A probe":
+        return (f["axiom"] == "A" and f["witness"] == list(probe)
+                and f["witness"] not in f["gens"])
+    if check == "C":
+        return f["axiom"] == "C"
+    return f["axiom"] == "B" and f["kind"] == check.split()[1]
+
+
+@pytest.mark.parametrize("check", ["A loop", "A probe", "B idempotence",
+                                   "B monotonicity", "C"])
+@pytest.mark.parametrize("name,args", [("n345", (200, 6, 1)),
+                                       ("n2", (200, 4, 0))])
+def test_check_first_run_after_sample_50_reports_the_oracles_failure(
+        monkeypatch, named, name, args, check):
+    """A closure that is t's except on one input, first drawn after sample
+    50, fails the check that input is new to: at the oracle's sample, with
+    the oracle's witness or shift, and with the rest of that sample's
+    failures.  The input is X for A's loop, X's t-closure for B's
+    idempotence, X plus ``extra`` for B's monotonicity and X + c for C,
+    and the broken closure sends it to the empty ideal.  No closure fails
+    A's probe alone, as the probe g + h lies in g + H, so there the
+    kernel's membership test fails for one (probe, closure) pair."""
+    real = K.divisible_any
+    samples, radius, seed = args
+    stream = list(systems._draw_stream(named[name], radius, seed, samples))
+    for k, (gens, probe, extra, c) in enumerate(stream[50:], 51):
+        H = MonoidModel(name, named[name].coords)
+        t = system("t", H)
+        X = ideal_from(gens, H)
+        Xr = close(t, X)
+        target = {"A loop": X, "A probe": X, "B idempotence": Xr,
+                  "B monotonicity": ideal_from(gens + extra, H),
+                  "C": ideal_from([tuple(map(add, c, g)) for g in gens],
+                                  H)}[check].gens
+
+        def broken(I):
+            return Ideal(H, ()) if I.gens == target else close(t, I)
+
+        def membership(pack, v, gs):
+            return (v != probe or gs != Xr.gens) and real(pack, v, gs)
+
+        with monkeypatch.context() as patch:
+            if check == "A probe":
+                patch.setattr(K, "divisible_any", membership)
+                broken = partial(close, t)
+            want = bf.axioms_every_sample(broken, H, "broken", *args)
+            if (want.counts["A"] != k
+                    or not _failed_by(want.failures[0], check, probe)):
+                continue
+            got = systems._axioms_check_fn(broken, H, "broken", *args)
+        assert got.to_json() == want.to_json(), k
+        return
+    pytest.fail(f"no input first drawn after sample 50 fails {check}")
+
+
+@pytest.mark.parametrize("name", ["gap23", "n2"])
+def test_each_distinct_check_input_is_closed_once(named, name):
+    """On a passing check the closure function is called once per distinct
+    (check, input) of the sample stream, in stream order: X for A's loop
+    and X's closure for B's idempotence, once per X; X plus ``extra`` for
+    B's monotonicity, once per (X, Y); X + c for C, once per (X, c).  A's
+    probe calls no closure."""
+    H = MonoidModel(name, named[name].coords)
+    t = system("t", H)
+    calls = []
+
+    def counting(X):
+        calls.append(X.gens)
+        return close(t, X)
+
+    assert systems._axioms_check_fn(counting, H, "t", 200, 4, 0).ok
+    seen = set()
+    want = []
+    for gens, probe, extra, c in systems._draw_stream(H, 4, 0, 200):
+        X = ideal_from(gens, H)
+        Y = ideal_from(gens + extra, H)
+        Xc = ideal_from([tuple(map(add, c, g)) for g in gens], H)
+        inputs = {("X", X.gens): [X.gens, close(t, X).gens],
+                  ("Y", X.gens, Y.gens): [Y.gens],
+                  ("C", X.gens, c): [Xc.gens]}
+        for key, closed in inputs.items():
+            if key not in seen:
+                seen.add(key)
+                want += closed
+    assert calls == want
+    # running every check on every sample closes four ideals a sample
+    assert len(calls) < 4 * 200
 
 
 def test_maximal_faces_are_local_or_height_one(certified):
@@ -309,7 +446,7 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
             t = system("t", L)
             faces = r_max_faces(t)
             ideals = {I for sample in systems._axiom_tape(L, 200, 4, 0)
-                      for I in sample[2:5]}
+                      for I in sample[3:6]}
             for label, p in (("w", system("s", L)), ("mod(t,t)", t)):
                 sys = system(label, L)
                 for X in ideals:
@@ -394,40 +531,49 @@ def _memo_models(H):
 
 
 def test_closure_memos_keep_one_object_per_value():
-    """After c01's s, t and w checks and classify, on fresh copies of the
-    certified named models and free 3, and on their localizations: a
-    memoised closure closes to itself, and so does an equal copy of it
-    built from new tuples; and every generator vector of a memoised closure
-    that is not its own input is the object the model's vector table
-    holds."""
+    """After c01's s, t and w checks on the certified named models, free 3
+    and the sixth of frobenius15 that perfbench's axiom sweep can pick,
+    and after classify on the first two, on fresh copies and on their
+    localizations: every memoised closure is the one object the model
+    keeps for its value, whichever system and input reached it; it closes
+    to itself, and so does an equal copy of it built from new tuples; and
+    every generator vector of a memoised closure that no memo holds as its
+    own input is the object the model's vector table holds."""
     from idealis import corpus
     from idealis.classify import classify
     from idealis.ideals import Ideal
     models = [MonoidModel(e.name, e.model.coords)
               for e in corpus.members("named") if e.model.certified]
     models.append(free_monoid("free3", 3))
-    kept = built = 0
-    for H in models:
+    swept = [MonoidModel(e.name, e.model.coords)
+             for e in corpus.members("frobenius15")[::6]]
+    for H in models + swept:
         for label in ("s", "t", "w"):
             assert axioms_check(system(label, H), samples=200, radius=4,
                                 seed=0).ok
+    for H in models:
         classify(H)
+    kept = built = 0
+    for H in models + swept:
         for L in _memo_models(H):
             table = L.memo.get(("vectors",), {})
-            for sys in [v for v in L.memo.values()
-                        if isinstance(v, systems.System)]:
-                for key, Y in list(sys.memo.items()):
-                    if not (key and isinstance(key[0], tuple)):
-                        continue
-                    assert close(sys, Y) is Y, (L.name, sys.label, key)
-                    copy = Ideal(L, tuple(tuple(list(v)) for v in Y.gens))
-                    assert close(sys, copy) is copy, (L.name, sys.label, key)
-                    if Y.gens is key:
-                        kept += 1
-                    else:
-                        built += 1
-                        assert all(table[v] is v for v in Y.gens), \
-                            (L.name, sys.label, key)
+            values = L.memo.get(("closures",), {})
+            memos = [(sys, key, Y) for sys in L.memo.values()
+                     if isinstance(sys, systems.System)
+                     for key, Y in sys.memo.items()
+                     if key and isinstance(key[0], tuple)]
+            inputs = {id(key) for _, key, _ in memos}
+            for sys, key, Y in memos:
+                assert values[Y.gens] is Y, (L.name, sys.label, key)
+                assert close(sys, Y) is Y, (L.name, sys.label, key)
+                copy = Ideal(L, tuple(tuple(list(v)) for v in Y.gens))
+                assert close(sys, copy) is copy, (L.name, sys.label, key)
+                if id(Y.gens) in inputs:
+                    kept += 1
+                else:
+                    built += 1
+                    assert all(table[v] is v for v in Y.gens), \
+                        (L.name, sys.label, key)
     assert kept and built
 
 
