@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from . import _kernel as K
 from .factor import (
@@ -708,20 +709,24 @@ def _p_modular_system(ctx):
     if lat is None or len(lat) > 16:
         return _u(note="closed-ideal lattice too large for the triple scan")
     proper = [I for I in lat if ctx.proper(I)]
-    # (I u J)_r does not depend on N and J cap N not on I: each is built
-    # once, not once per triple.
+    # Only I inside N, J incomparable with N and I outside J can break the
+    # law (docs/exactness.md, "Lattice scans skip what the axioms decide").
+    # Inclusions and joins are built once, J cap N once per kept (N, J).
+    le = [[ideal_subset(A, B) for B in proper] for A in proper]
     joins = {}
-    for N in proper:
-        meets = [ideal_intersect(J, N) for J in proper]
+    for n, N in enumerate(proper):
+        meets = {j: (J, ideal_intersect(J, N)) for j, J in enumerate(proper)
+                 if not (le[j][n] or le[n][j])}
         for i, I in enumerate(proper):
-            if not ideal_subset(I, N):
+            if not le[i][n]:
                 continue
-            for j, J in enumerate(proper):
+            for j, (J, met) in meets.items():
+                if le[i][j]:
+                    continue
                 joined = joins.get((i, j))
                 if joined is None:
                     joined = joins[i, j] = close(sys, ideal_union(I, J))
-                g = modular_law_violation(sys, I, J, N, joined=joined,
-                                          met=meets[j])
+                g = modular_law_violation(sys, I, J, N, joined=joined, met=met)
                 if g is not None:
                     return _f({"I": I, "J": J, "N": N, "element": list(g)},
                               note="modular law fails at the marked element")
@@ -748,10 +753,12 @@ def _p_cancellative(ctx):
         return _u(note="closed-ideal lattice too large for the collision "
                        "scan")
     proper = [I for I in lat if ctx.proper(I)]
-    for I in proper:
+    sums: dict = {}  # sums commute: one closure per unordered pair
+    for a, I in enumerate(proper):
         seen: dict = {}
-        for J in proper:
-            key = close(ctx.sys, ideal_sum(I, J)).gens
+        for b, J in enumerate(proper):
+            key = sums.pop((b, a)) if b < a else sums.setdefault(
+                (a, b), close(ctx.sys, ideal_sum(I, J)).gens)
             if key in seen:
                 return _f({"I": I, "J": seen[key], "L": J},
                           note="distinct closed cofactors with the same "
@@ -1159,9 +1166,12 @@ def _post_cor38(H, radius, conds):
         return ""
     w_sys = system("w", H)
     t_sys = system("t", H)
-    box = [v for v in H.enumerate(min(radius, 5)) if any(v)]
-    sample = [(v,) for v in box[:10]]
-    sample += [(box[k], box[-1 - k]) for k in range(min(8, len(box) // 2))]
+    r = min(radius, 5)  # the box's two ends, read off its member columns
+    cols = [[x for x in range(-r, r + 1) if c.member(x)] for c in H.coords]
+    ends = [list(itertools.islice(filter(any, itertools.product(*cs)), 10))
+            for cs in (cols, [col[::-1] for col in cols])]
+    m = min(8, (prod(map(len, cols)) - 1) // 2)
+    sample = [(v,) for v in ends[0]] + list(zip(ends[0], ends[1][:m]))
     n = 0
     for gens in sample:
         X = ideal_from(gens, H)

@@ -129,11 +129,14 @@ def _require_closed(I: Ideal, sys: System, what: str) -> None:
 def is_invertible(I: Ideal, sys: System) -> bool:
     """Whether close(sys, I + I^-1) is the unit ideal.
 
-    I must be a nonempty sys-closed ideal.
+    I must be a nonempty sys-closed ideal; a principal g + H is invertible
+    with no closure, as (g + H) + (-g + H) = H.
     """
     if I.is_empty:
         raise ValueError("is_invertible: empty ideal")
     _require_closed(I, sys, "is_invertible")
+    if I.is_principal:
+        return True
     return memoised(sys, ("invertible", I.gens), lambda: ideal_eq(
         close(sys, ideal_sum(I, inverse(I))), unit_ideal(sys.monoid)))
 

@@ -529,3 +529,111 @@ def axioms_every_sample(close_fn, H, label, samples, radius, seed):
     counts = {"A": done, "B": done, "C": done, "D": samples}
     return CheckReport(f"axioms[{label}]", H.name, samples, radius, seed,
                        counts, failures)
+
+
+def modular_system_full(ctx):
+    """``classify._p_modular_system`` scanning every triple (I, J, N) of
+    proper closed ideals with I inside N, as it ran before the scan skipped
+    the triples the closure axioms decide."""
+    from idealis.classify import _f, _structurally_modular, _t, _u
+    from idealis.ideals import ideal_intersect, ideal_subset, ideal_union
+    from idealis.systems import close, modular_law_violation
+
+    sys = ctx.sys
+    H = ctx.monoid
+    if _structurally_modular(sys):
+        return _t(note="union-stable closure" if sys.kind == "s"
+                  else "modularization of a union-stable system")
+    if not H.counting:
+        return _t(note="H is the only nonempty ideal", vacuous=True)
+    if ctx.regular:
+        return _t(note="closed ideals form a distributive lattice of "
+                       "principal ideals")
+    lat = ctx.lattice()
+    if lat is None or len(lat) > 16:
+        return _u(note="closed-ideal lattice too large for the triple scan")
+    proper = [I for I in lat if ctx.proper(I)]
+    for N in proper:
+        for I in proper:
+            if not ideal_subset(I, N):
+                continue
+            for J in proper:
+                joined = close(sys, ideal_union(I, J))
+                g = modular_law_violation(sys, I, J, N, joined=joined,
+                                          met=ideal_intersect(J, N))
+                if g is not None:
+                    return _f({"I": I, "J": J, "N": N, "element": list(g)},
+                              note="modular law fails at the marked element")
+    if len(H.counting) == 1:
+        c = H.coords[H.counting[0]]
+        if ctx.radius >= 2 * (c.conductor + c.n1):
+            return _t(note="no violation and the box covers twice the "
+                           "conductor window")
+    return _u(note=f"no violation within radius {ctx.radius}")
+
+
+def cancellative_full(ctx):
+    """``classify._p_cancellative`` closing I + J for every ordered pair,
+    as it ran before it closed each unordered pair once."""
+    from idealis.classify import _f, _t, _u
+    from idealis.ideals import ideal_sum
+    from idealis.systems import close
+
+    H = ctx.monoid
+    if not H.counting:
+        return _t(note="products of copies of H stay H", vacuous=True)
+    if ctx.regular and (ctx.eff == "t" or len(H.counting) == 1):
+        return _t(note="closed ideals are principal, multiplication is "
+                       "translation")
+    r = min(ctx.radius, 3) if ctx.eff == "s" else ctx.radius
+    lat = ctx.lattice_at(r, cap=120)
+    if lat is None:
+        return _u(note="closed-ideal lattice too large for the collision "
+                       "scan")
+    proper = [I for I in lat if ctx.proper(I)]
+    for I in proper:
+        seen: dict = {}
+        for J in proper:
+            key = close(ctx.sys, ideal_sum(I, J)).gens
+            if key in seen:
+                return _f({"I": I, "J": seen[key], "L": J},
+                          note="distinct closed cofactors with the same "
+                               "product")
+            seen[key] = J
+    return _u(note=f"no collision among {len(proper)} closed ideals within "
+                   f"radius {r}")
+
+
+def class_group_probe_full(sys, radius: int, cap: int = 4):
+    """``factor.class_group_probe`` with invertibility decided by closing
+    I + I^-1 for every closed ideal in the box, principal ones included,
+    and no memo."""
+    from idealis.factor import ClassGroupProbe
+    from idealis.ideals import ideal_eq, ideal_sum, inverse, unit_ideal
+    from idealis.systems import close, closed_ideals, power_close
+
+    invertible = [I for I in closed_ideals(sys, radius) if not I.is_empty
+                  and ideal_eq(close(sys, ideal_sum(I, inverse(I))),
+                               unit_ideal(sys.monoid))]
+    nonprincipal = tuple(I for I in invertible if not I.is_principal)
+    torsion = []
+    for J in nonprincipal:
+        for k in range(2, cap + 1):
+            if power_close(sys, J, k).is_principal:
+                torsion.append((J, k))
+                break
+    return ClassGroupProbe(
+        monoid=sys.monoid.name, system=sys.label, radius=radius,
+        invertible_count=len(invertible),
+        principal_count=len(invertible) - len(nonprincipal),
+        nonprincipal=nonprincipal, torsion=tuple(torsion), cap=cap)
+
+
+def post_cor38_sample_from_box(H, radius: int) -> list:
+    """``classify._post_cor38``'s generator sets taken from the whole box:
+    its first ten nonzero members alone, then the k-th nonzero member with
+    the k-th from the end for k below min(8, half the nonzero members)."""
+    box = [v for v in H.enumerate(min(radius, 5)) if any(v)]
+    sample = [(v,) for v in box[:10]]
+    return sample + [(box[k], box[-1 - k])
+                     for k in range(min(8, len(box) // 2))]

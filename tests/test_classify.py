@@ -21,7 +21,7 @@ from idealis.classify import (GLOBAL_PROPS, MATRIX_PROPS, UNKNOWN,
                               _scaled_unit, classify, evaluate,
                               property_names, suite_battery, suite_names,
                               tfae_suite)
-from idealis.factor import (is_invertible, meager_factor,
+from idealis.factor import (class_group_probe, is_invertible, meager_factor,
                             radical_factor_principal, sp_factor)
 from idealis.ideals import ideal_from, principal, radical
 from idealis.monoid import (free_monoid, group_monoid, numerical_monoid,
@@ -454,6 +454,109 @@ def test_each_box_scan_runs_once(monkeypatch):
     monkeypatch.setattr(K, "primary_violation", count)
     classify(parse_monoid("name = g23x4\n" + "coord = numerical 2 3\n" * 4))
     assert len(scans) == 1
+
+
+def test_modular_scan_visits_undecided_triples_only(gap23, monkeypatch):
+    # of the 1,040 triples with I inside N on gap23's and g23xz's t-lattices,
+    # 36 have J incomparable with N and I outside J
+    C = sys.modules[classify.__module__]
+    calls = []
+    law = C.modular_law_violation
+
+    def count(*args, **kw):
+        calls.append(args[1:4])
+        return law(*args, **kw)
+
+    monkeypatch.setattr(C, "modular_law_violation", count)
+    g23xz = product("g23xz", numerical_monoid("g23", (2, 3)),
+                    group_monoid("z", 1))
+    for H in (gap23, g23xz):
+        calls.clear()
+        ctx = PropertyContext(system("t", H), 8)
+        assert C._REGISTRY["modular_system"](ctx).verdict == "true"
+        assert len(calls) == len(set(calls)) == 36, H.name
+
+
+# systems whose modular, cancellative and invertibility scans are held
+# against the full scans, and the small products they run on besides the
+# certified named models and free 3
+_SCAN_SYSTEMS = ("s", "t", "w", "v", "mod(s,v)", "mod(t,t)")
+
+
+def _scan_products():
+    g23, g345, g25, N, Z = (numerical_monoid("g23", (2, 3)),
+                            numerical_monoid("g345", (3, 4, 5)),
+                            numerical_monoid("g25", (2, 5)),
+                            free_monoid("N", 1), group_monoid("Z", 1))
+    return {"g23xn": product("g23xn", g23, N),
+            "g345xn": product("g345xn", g345, N),
+            "g23xzxn": product("g23xzxn", g23, Z, N),
+            "g25xz": product("g25xz", g25, Z),
+            "nxg23": product("nxg23", N, g23)}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).to_json()
+    except K.BudgetExceeded as exc:
+        return ("over budget", str(exc))
+
+
+def test_pruned_lattice_scans_are_the_full_scans(certified):
+    """The modular and cancellative deciders, which skip the triples and
+    the repeated sums the closure axioms decide, and the class-group probe,
+    which takes principal ideals as invertible, give the verdicts, witnesses
+    and notes of the full scans."""
+    C = sys.modules[classify.__module__]
+    models = dict(certified, **_scan_products(),
+                  free3=free_monoid("free3", 3))
+    scanned = {"modular_system": set(), "cancellative": set()}
+    probed = 0
+    for name, H in models.items():
+        for lbl in _SCAN_SYSTEMS:
+            ctx = PropertyContext(system(lbl, H), 8)
+            for prop, full in (("modular_system", bf.modular_system_full),
+                               ("cancellative", bf.cancellative_full)):
+                got = C._REGISTRY[prop](ctx).to_json()
+                assert got == full(ctx).to_json(), (name, lbl, prop)
+                if got["verdict"] == "false" or "within radius" in got["note"]:
+                    scanned[prop].add(got["verdict"])
+            got = _outcome(class_group_probe, ctx.sys, 6, 4)
+            assert got == _outcome(bf.class_group_probe_full, ctx.sys, 6, 4), \
+                (name, lbl)
+            probed += isinstance(got, dict) and got["invertible_count"] > 0
+    # both outcomes of each scan are reached, and the probes find ideals
+    assert scanned == {"modular_system": {"false", UNKNOWN},
+                       "cancellative": {"false", UNKNOWN}}
+    assert probed >= 50
+
+
+def test_post_cor38_sample_builds_no_box(certified, monkeypatch):
+    """The closure-identity sample is the box's, read off the member
+    columns: ``H.enumerate`` is never called, on free 8 either."""
+    C = sys.modules[classify.__module__]
+    sampled = []
+    monkeypatch.setattr(C, "ideal_from", lambda gens, H: sampled.append(
+        tuple(gens)) or ideal_from(gens, H))
+    # w and t then close alike on every model
+    monkeypatch.setattr(C, "close", lambda sys_, X: X)
+    models = dict(certified, free3=free_monoid("free3", 3),
+                  free4=free_monoid("free4", 4))
+    for name, H in models.items():
+        want = bf.post_cor38_sample_from_box(H, 8)
+        monkeypatch.setattr(H, "enumerate", None)
+        sampled.clear()
+        note = C._post_cor38(H, 8, [])
+        assert sampled == want, name
+        assert note == f"closure identity verified on {len(want)} " \
+                       "generator sets"
+    H = free_monoid("free8", 8)
+    monkeypatch.setattr(H, "enumerate", None)
+    sampled.clear()
+    C._post_cor38(H, 8, [])
+    assert len(sampled) == 18
+    assert sampled[0] == ((0,) * 7 + (1,),)
+    assert sampled[-1] == ((0,) * 6 + (1, 2), (5,) * 6 + (4, 4))
 
 
 def _taken(ctx, prop):

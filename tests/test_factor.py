@@ -242,6 +242,21 @@ def test_is_invertible(gap23, n2):
     assert is_invertible(ideal_from([(1, 1)], n2), t)
 
 
+def test_principal_ideals_are_invertible_without_a_closure():
+    # (g + H) + (-g + H) = H: no principal ideal reaches the memoised
+    # closure of I + I^-1, through the probe or directly
+    H = numerical_monoid("gap23", (2, 3))
+    t = system("t", H)
+    probe = class_group_probe(t, 6)
+    assert probe.invertible_count == probe.principal_count == 6
+    assert is_invertible(ideal_from([(2,)], H), t)
+    assert not is_invertible(ideal_from([(2,), (3,)], H), t)
+    keys = [k[1] for k in t.memo
+            if isinstance(k, tuple) and k[0] == "invertible"]
+    assert ((2,),) not in keys and ((2,), (3,)) in keys
+    assert all(len(gens) > 1 for gens in keys)
+
+
 def test_cofactor_reassembles(n2):
     t = system("t", n2)
     I = ideal_from([(1, 0)], n2)
