@@ -69,7 +69,6 @@ from .spectrum import (
 )
 from .systems import (
     System,
-    _closes_as,
     close,
     closed_faces,
     closed_ideals,
@@ -192,13 +191,6 @@ def _eff_kind(sys: System) -> str:
         return "t"
     p, r = sys.parts
     return _eff_kind(p) if _eff_kind(r) == "s" else "t"
-
-
-def _structurally_modular(sys: System) -> bool:
-    # unions of s-ideals are s-ideals; modularizing a modular system keeps it
-    if sys.kind == "s":
-        return True
-    return sys.kind == "mod" and _structurally_modular(sys.parts[0])
 
 
 class PropertyContext:
@@ -374,7 +366,7 @@ def _find_radical_product(sys: System, I: Ideal, invertible: bool):
     H = sys.monoid
     universe = invertible_radicals(sys) if invertible \
         else radical_closed_ideals(sys)
-    face = _face(I) if _closes_as(sys).kind == "s" else None
+    face = _face(I) if sys.op == "s" else None
     universe = [R for R in universe if ideal_subset(I, R)
                 and (face is None or _face(R) <= face)]
     if not universe:
@@ -697,7 +689,9 @@ def _p_modular_system(ctx):
     """(I u J)_r cap N = (I u (J cap N))_r whenever I lies inside N."""
     sys = ctx.sys
     H = ctx.monoid
-    if _structurally_modular(sys):
+    # unions of s-ideals are s-ideals, and modularizing a modular system
+    # keeps it: every system that does not close as t
+    if sys.op != "t":
         return _t(note="union-stable closure" if sys.kind == "s"
                   else "modularization of a union-stable system")
     if not H.counting:

@@ -31,7 +31,7 @@ from .ideals import (
 )
 from .monoid import MonoidModel, memoised
 from .spectrum import height_one
-from .systems import (System, _closes_as, close, closed_faces, closed_ideals,
+from .systems import (System, close, closed_faces, closed_ideals,
                       power_close, system)
 
 # The longest chain radical_factor_principal, sp_factor and meager_factor
@@ -330,7 +330,7 @@ def invertible_radicals(sys: System) -> tuple[Ideal, ...]:
     """The invertible members of radical_closed_ideals(sys), in its order.
     Where sys closes as s they are the principal ones (``docs/exactness.md``,
     "Invertible radicals under s")."""
-    under_s = _closes_as(sys).kind == "s"
+    under_s = sys.op == "s"
     return memoised(sys, "invertible_radicals", lambda: tuple(
         J for J in radical_closed_ideals(sys)
         if (J.is_principal if under_s else is_invertible(J, sys))))

@@ -1,18 +1,19 @@
 """The finitary ideal systems s, t (= finitary v), w, and generic
 modularizations mod(p, r), together with the axiom and comparison checkers.
 
-A ``System`` is bound to its monoid.  Closure of a finitely generated ideal:
+A ``System`` is bound to its monoid, and ``system`` decides once, in
+``System.op``, which of three operators closes a finitely generated X:
 
-    s          -- the generated module itself
-    t (and v)  -- double inverse of the generator set; on finitely generated
-                  input the two coincide, and only such input ever arises
-    mod(p, r)  -- intersection of the localizations of the p-closure at the
-                  r-maximal ideals: the p-closure itself when H is r-local,
-                  else its coordinatewise hull; w is mod(s, t)
+    "s"     -- X itself
+    "t"     -- the double inverse of the generator set (t and v coincide
+               on finitely generated input, the only input that arises)
+    "hull"  -- the coordinatewise hull of X
 
-Maximal closed primes are computed structurally from the face lattice, so a
-modularization needs no more of its right operand than whether H is
-r-local.
+mod(p, r) closes as p where H is r-local, and otherwise as the hull of the
+p-closure, which is the p-closure itself unless p closes as s; w is
+mod(s, t).  The closed primes are read off the operator: every prime under
+s, the height-one ones under t and the hull (``docs/exactness.md``, "Three
+closure operators").
 """
 
 import random
@@ -35,9 +36,12 @@ class System:
     kind: str                     # "s" | "t" | "v" | "mod"
     parts: tuple = ()             # (p, r) when kind == "mod"
     label: str = ""
-    # This system's memo: closed Ideals keyed by the generator tuple they
-    # close, each the one object its model keeps for its value (see
-    # ``close``), plus derived views under string-headed keys.  Reached
+    op: str = "s"                 # what it closes as: "s" | "t" | "hull"
+    # Closed Ideals keyed by the generator tuple they close, each the one
+    # object its model keeps for its value: one dict per model and op,
+    # shared by the systems that close alike and read by ``close`` alone.
+    cache: dict = field(default_factory=dict, repr=False)
+    # This system's derived views, under string-headed keys.  Reached
     # through its model's memo.
     memo: dict = field(default_factory=dict, repr=False)
 
@@ -60,21 +64,29 @@ def _split_args(body: str):
 def system(token: str, H: MonoidModel) -> System:
     """Resolve a system selector: s | t | v | w | mod(<p>,<r>).
 
-    Systems are registered in the model's memo, one per token.
+    Systems are registered in the model's memo, one per token, each with
+    the operator it closes as.
     """
     token = token.strip()
 
+    def make(kind, parts, op):
+        return System(H, kind, parts, token, op,
+                      memoised(H, ("cache", op), dict))
+
     def build():
         if token in ("s", "t", "v"):
-            return System(H, token, (), token)
+            return make(token, (), "s" if token == "s" else "t")
         if token == "w":
-            return System(H, "mod", (system("s", H), system("t", H)), "w")
-        if token.startswith("mod(") and token.endswith(")"):
+            p, r = system("s", H), system("t", H)
+        elif token.startswith("mod(") and token.endswith(")"):
             left, right = _split_args(token[4:-1])
-            sys = System(H, "mod", (system(left, H), system(right, H)), token)
-            _check_leq_pre(sys)
-            return sys
-        raise ValueError(f"unknown ideal system {token!r}")
+            p, r = system(left, H), system(right, H)
+            _check_leq_pre(p, r)
+        else:
+            raise ValueError(f"unknown ideal system {token!r}")
+        local = r_max_faces(r) == _LOCAL
+        return make("mod", (p, r),
+                    p.op if local or p.op != "s" else "hull")
 
     return memoised(H, ("system", token), build)
 
@@ -88,8 +100,7 @@ def modularization(p: System, r: System) -> System:
     return system(f"mod({p.label},{r.label})", p.monoid)
 
 
-def _check_leq_pre(sys: System):
-    p, r = sys.parts
+def _check_leq_pre(p: System, r: System):
     rep = leq_check(p, r, samples=16, radius=4, seed=7)
     if not rep.ok:
         raise ValueError(
@@ -101,39 +112,43 @@ def _prime_gens(H: MonoidModel, face: frozenset) -> tuple:
     return K.cells_gens(H.pack, [(i,) for i in H.counting if i not in face])
 
 
-def proper_faces(H: MonoidModel):
+def _face_order(face):
+    return len(face), tuple(sorted(face))
+
+
+def proper_faces(H: MonoidModel) -> tuple:
     """All faces of nonempty primes: subsets of the counting coordinates
-    that omit at least one of them, ordered deterministically."""
+    that omit at least one of them, ordered deterministically.  Memoised
+    per model."""
     counting = H.counting
-    out = []
-    for bits in range(1 << len(counting)):
-        face = frozenset(counting[j] for j in range(len(counting))
-                         if bits >> j & 1)
-        if len(face) < len(counting):
-            out.append(face)
-    out.sort(key=lambda f: (len(f), tuple(sorted(f))))
-    return out
+    return memoised(H, "proper_faces", lambda: tuple(sorted(
+        (frozenset(i for j, i in enumerate(counting) if bits >> j & 1)
+         for bits in range((1 << len(counting)) - 1)), key=_face_order)))
 
 
 def closed_faces(sys: System) -> tuple:
-    """Faces of the sys-closed primes, in ``proper_faces`` order."""
+    """Faces of the sys-closed primes, in ``proper_faces`` order: every
+    proper face under s, and under t and the hull the height-one faces,
+    each leaving one counting coordinate uninverted (``docs/exactness.md``,
+    "Modularization as a finite intersection").  Nothing is closed."""
     H = sys.monoid
 
-    def is_closed(face):
-        P = Ideal(H, _prime_gens(H, face))
-        return close(sys, P).gens == P.gens
+    def build():
+        if sys.op == "s":
+            return proper_faces(H)
+        every = frozenset(H.counting)
+        return tuple(sorted((every - {i} for i in H.counting),
+                            key=_face_order))
 
-    return memoised(sys, "closed_faces",
-                    lambda: tuple(filter(is_closed, proper_faces(H))))
+    return memoised(sys, "closed_faces", build)
 
 
 def r_max_faces(sys: System) -> tuple:
-    """Faces of the maximal sys-closed primes."""
-    def build():
-        closed = closed_faces(sys)
-        return tuple(f for f in closed if not any(g < f for g in closed))
-
-    return memoised(sys, "r_max_faces", build)
+    """Faces of the maximal sys-closed primes: the maximal ideal's alone
+    under s, and every closed face under t and the hull."""
+    if sys.op != "s":
+        return closed_faces(sys)
+    return _LOCAL if sys.monoid.counting else ()
 
 
 # r_max_faces of a system whose only maximal closed prime is the maximal
@@ -141,37 +156,24 @@ def r_max_faces(sys: System) -> tuple:
 _LOCAL = (frozenset(),)
 
 
-def _closes_as(sys: System) -> System:
-    """The system sys closes as: sys itself, or, when sys is mod(p, r) on
-    an r-local H, what p closes as.  On an r-local H the one term of the
-    intersection, at face {}, is X_p + H = X_p, so mod(p, r) closes as p
-    does (w as s).  ``close`` and ``axioms_check`` both step by it."""
-    while (sys.kind == "mod"
-           and r_max_faces(sys.parts[1]) == _LOCAL):
-        sys = sys.parts[0]
-    return sys
-
-
 def close(sys: System, X: Ideal) -> Ideal:
     """sys-closure of a finitely generated ideal, as a canonical Ideal; X
     itself when X is closed."""
     if X.monoid is not sys.monoid:
         raise ValueError("ideal bound to a different monoid")
-    if not X.gens:
+    op = sys.op
+    if op == "s" or not X.gens:
         return X
-    if sys.kind == "mod":
-        sys = _closes_as(sys)
-    if sys.kind == "s":
-        return X
-    H = sys.monoid
     # Inline, not through ``memoised``: the hot path of both perfbench workloads.
-    got = sys.memo.get(X.gens)
+    cache = sys.cache
+    got = cache.get(X.gens)
     if got is not None:
         return X if got.gens == X.gens else got
-    if sys.kind in ("t", "v"):
+    H = sys.monoid
+    if op == "t":
         gens = K.v_close_gens(H.pack, X.gens)
     else:
-        gens = K.modular_close_gens(H.pack, close(sys.parts[0], X).gens)
+        gens = K.modular_close_gens(H.pack, X.gens)
     # One object per closure value in the model's memos: the first closed
     # input with the value, kept as itself, or else one built for it.
     values = memoised(H, ("closures",), dict)
@@ -185,7 +187,7 @@ def close(sys: System, X: Ideal) -> Ideal:
             vectors = memoised(H, ("vectors",), dict)
             got = Ideal(H, tuple([vectors.setdefault(v, v) for v in gens]))
         values[got.gens] = got
-    sys.memo[X.gens] = got
+    cache[X.gens] = got
     return X if got.gens == X.gens else got
 
 
@@ -470,20 +472,19 @@ def axioms_check(sys: System, samples: int, radius: int, seed: int = 0) -> Check
     """Sampled verification of the closure axioms for a bound system.
 
     The outcome is a function of the draw tape and of the closure, so it
-    is kept in the model's memo once per system that closes differently
-    (``_closes_as``): w on a t-local model reads s's, whichever is checked
+    is kept in the model's memo once per operator a system closes as
+    (``System.op``): w on a t-local model reads s's, whichever is checked
     first.  Each call gets its own report, labelled with sys.
     """
     H = sys.monoid
-    target = _closes_as(sys)
 
     def run():
-        rep = _axioms_check_fn(partial(close, target), H, target.label,
+        rep = _axioms_check_fn(partial(close, sys), H, sys.label,
                                samples, radius, seed)
         return rep.counts, rep.failures
 
     counts, failures = memoised(
-        H, ("axioms", target.label, samples, radius, seed), run)
+        H, ("axioms", sys.op, samples, radius, seed), run)
     return CheckReport(f"axioms[{sys.label}]", H.name, samples, radius, seed,
                        dict(counts),
                        [{**deepcopy(f), "system": sys.label}
@@ -544,12 +545,12 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     ``docs/exactness.md`` ("Lattice enumeration") shows give the same
     ideals:
 
-    - A coordinatewise system (t, v, and a modularization whose maximal
-      faces each leave one counting coordinate uninverted; see
-      ``_coordinatewise``) closes one counting coordinate at a time, so its
-      closed ideals are the products of closed ideals that vanish off one
-      axis each.  Each axis family comes from next-closure over the box
-      members on that axis, and the family is their product.
+    - A coordinatewise system (one that closes as t or as the hull, or as
+      s on at most one counting coordinate; see ``_coordinatewise``)
+      closes one counting coordinate at a time, so its closed ideals are
+      the products of closed ideals that vanish off one axis each.  Each
+      axis family comes from next-closure over the box members on that
+      axis, and the family is their product.
     - Any other system runs Ganter's next-closure over the whole box with
       the operator E -> members(close(sys, E)) meet box.  An ideal
       generated inside the box is recovered from its box trace; closed
@@ -570,17 +571,10 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
 def _coordinatewise(sys: System) -> bool:
     """Is every sys-closure a product of one-dimensional modules, one per
     counting coordinate, each depending on that coordinate of the input
-    alone?  True for t and v; true for mod(p, r) when p is s or
-    coordinatewise and every maximal r-closed prime has height one."""
-    if sys.kind in ("t", "v"):
-        return True
-    if sys.kind != "mod":
-        return False
-    p, r = sys.parts
+    alone?  True under t and the hull, and under s on a product model
+    with at most one counting coordinate."""
     H = sys.monoid
-    height_one = len(H.counting) - 1
-    return ((p.kind == "s" or _coordinatewise(p))
-            and all(len(face) == height_one for face in r_max_faces(r)))
+    return sys.op != "s" or H.certified and len(H.counting) <= 1
 
 
 def _lattice(sys: System, radius: int, cap: int, max_ground: int):
@@ -597,7 +591,7 @@ def _lattice(sys: System, radius: int, cap: int, max_ground: int):
     over = K.BudgetExceeded(
         f"{sys.label}-lattice at radius {radius} exceeds {cap}")
     if not _coordinatewise(sys):
-        if sys.kind == "s" and (1 << _widest_level(H, ground)) - 1 > cap:
+        if (1 << _widest_level(H, ground)) - 1 > cap:
             raise over
         out = _next_closure(sys, ground, cap)
         if out is None:

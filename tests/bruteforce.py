@@ -535,13 +535,13 @@ def modular_system_full(ctx):
     """``classify._p_modular_system`` scanning every triple (I, J, N) of
     proper closed ideals with I inside N, as it ran before the scan skipped
     the triples the closure axioms decide."""
-    from idealis.classify import _f, _structurally_modular, _t, _u
+    from idealis.classify import _f, _t, _u
     from idealis.ideals import ideal_intersect, ideal_subset, ideal_union
     from idealis.systems import close, modular_law_violation
 
     sys = ctx.sys
     H = ctx.monoid
-    if _structurally_modular(sys):
+    if sys.op != "t":
         return _t(note="union-stable closure" if sys.kind == "s"
                   else "modularization of a union-stable system")
     if not H.counting:
@@ -637,3 +637,61 @@ def post_cor38_sample_from_box(H, radius: int) -> list:
     sample = [(v,) for v in box[:10]]
     return sample + [(box[k], box[-1 - k])
                      for k in range(min(8, len(box) // 2))]
+
+
+@functools.lru_cache(maxsize=1024)
+def closed_faces_by_closing(sys) -> tuple:
+    """The faces of the sys-closed primes, in ``proper_faces`` order, found
+    by closing every prime with ``close_by_stepping``: the rule
+    ``systems.closed_faces`` followed before it read them off the
+    operator.  Cached per system object."""
+    from idealis.systems import _prime_gens, proper_faces
+
+    H = sys.monoid
+    return tuple(f for f in proper_faces(H)
+                 if close_by_stepping(sys, _prime_gens(H, f))
+                 == _prime_gens(H, f))
+
+
+def maximal_faces(faces) -> tuple:
+    """The faces of the maximal primes among ``faces``: the minimal faces,
+    in their order."""
+    return tuple(f for f in faces if not any(g < f for g in faces))
+
+
+def closes_as_by_stepping(sys):
+    """The system sys closes as, by the rule ``systems.close`` once stepped
+    by: while sys is mod(p, r) and the maximal r-closed primes are the
+    maximal ideal alone, p."""
+    while sys.kind == "mod" and maximal_faces(
+            closed_faces_by_closing(sys.parts[1])) == (frozenset(),):
+        sys = sys.parts[0]
+    return sys
+
+
+def close_by_stepping(sys, gens) -> tuple:
+    """The canonical generators of the sys-closure of the ideal with
+    canonical generators ``gens``, by the rule ``systems.close`` once
+    followed: step with ``closes_as_by_stepping``; then s keeps the input,
+    t and v take the double inverse, and a modularization takes the
+    coordinatewise hull of its left operand's closure."""
+    sys = closes_as_by_stepping(sys)
+    if not gens or sys.kind == "s":
+        return gens
+    from idealis import _kernel as K
+
+    pack = sys.monoid.pack
+    if sys.kind in ("t", "v"):
+        return K.v_close_gens(pack, gens)
+    return K.modular_close_gens(pack, close_by_stepping(sys.parts[0], gens))
+
+
+def op_by_stepping(sys) -> str:
+    """The operator sys closes as, read off ``closes_as_by_stepping``: "s"
+    for s, "t" for t and v, and for a modularization left standing the
+    hull of its left operand's closure, which is "t" where that closes as
+    t."""
+    sys = closes_as_by_stepping(sys)
+    if sys.kind != "mod":
+        return "s" if sys.kind == "s" else "t"
+    return "t" if op_by_stepping(sys.parts[0]) == "t" else "hull"

@@ -163,7 +163,6 @@ def test_invertible_radicals_under_s_are_the_principal_ones(certified):
     """Where a system closes as s, invertible_radicals keeps the principal
     radical closed ideals; that is the is_invertible filter, in its order,
     under s and w on the named models, free 3 and free 4."""
-    from idealis.systems import _closes_as
     models = dict(certified, free3=free_monoid("free3", 3),
                   free4=free_monoid("free4", 4))
     as_s = 0
@@ -173,7 +172,7 @@ def test_invertible_radicals_under_s_are_the_principal_ones(certified):
             assert invertible_radicals(sys) == tuple(
                 J for J in radical_closed_ideals(sys)
                 if is_invertible(J, sys)), (name, lbl)
-            as_s += _closes_as(sys).kind == "s"
+            as_s += sys.op == "s"
     # w closes as s on the t-local models, and as itself on the rest
     assert len(models) < as_s < 2 * len(models)
 

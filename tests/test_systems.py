@@ -1,6 +1,7 @@
 """Ideal system construction, closures against oracles, axiom checks."""
 
 import itertools
+import operator
 import random
 import time
 from functools import partial
@@ -278,10 +279,11 @@ def test_axiom_check_is_the_every_sample_oracle():
             continue
         H = MonoidModel(e.name, e.model.coords)
         for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
-            labels = {systems._closes_as(system(label, L)).label
-                      for label in ("s", "t", "w")}
+            # one label per operator, s's where w closes as s
+            labels = {system(label, L).op: label
+                      for label in ("w", "t", "s")}
             for args in ((200, 4, 0), (200, 6, 1), (50, 6, 3)):
-                for label in sorted(labels):
+                for label in sorted(labels.values()):
                     close_fn = partial(close, system(label, L))
                     want = bf.axioms_every_sample(close_fn, L, label, *args)
                     got = systems._axioms_check_fn(close_fn, L, label, *args)
@@ -382,6 +384,15 @@ def test_each_distinct_check_input_is_closed_once(named, name):
     assert len(calls) < 4 * 200
 
 
+# The tokens of the face lemma's test, and its two mixed products.
+FACE_TOKENS = ("s", "t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)",
+               "mod(w,t)", "mod(s,w)", "mod(mod(s,s),t)", "mod(s,mod(s,s))",
+               "mod(w,w)")
+MIXED_SPECS = ("name = g23xn3\ncoord = numerical 2 3\ncoord = free 3",
+               "name = n345xg23xzxn\ncoord = numerical 3 4 5\n"
+               "coord = numerical 2 3\ncoord = group 1\ncoord = free 1")
+
+
 def test_maximal_faces_are_local_or_height_one(certified):
     """Every system's maximal closed primes are the maximal ideal alone or
     exactly the height-one primes (``docs/exactness.md``, "Modularization
@@ -392,16 +403,9 @@ def test_maximal_faces_are_local_or_height_one(certified):
     right operand's maximal faces: the closed primes the lemma counts do
     not come from the hull alone, and the hull is taken of the left
     operand's closure."""
-    tokens = ("s", "t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)",
-              "mod(w,t)", "mod(s,w)", "mod(mod(s,s),t)", "mod(s,mod(s,s))",
-              "mod(w,w)")
     models = [MonoidModel(name, H.coords) for name, H in certified.items()]
-    models += [free_monoid("free3", 3), free_monoid("free4", 4),
-               parse_monoid("name = g23xn3\ncoord = numerical 2 3\n"
-                            "coord = free 3"),
-               parse_monoid("name = n345xg23xzxn\ncoord = numerical 3 4 5\n"
-                            "coord = numerical 2 3\ncoord = group 1\n"
-                            "coord = free 1")]
+    models += [free_monoid("free3", 3), free_monoid("free4", 4)]
+    models += map(parse_monoid, MIXED_SPECS)
     rng = random.Random(67)
     seen = set()
     for H in models:
@@ -414,7 +418,7 @@ def test_maximal_faces_are_local_or_height_one(certified):
             ideals += [ideal_from([[k * rng.randint(0, 6) for k in keep]
                                    for _ in range(rng.randint(1, 3))], L)
                        for _ in range(4)]
-            for token in tokens:
+            for token in FACE_TOKENS:
                 sys = system(token, L)
                 got = r_max_faces(sys)
                 assert got in ((frozenset(),), height_one), (L.name, token)
@@ -427,6 +431,79 @@ def test_maximal_faces_are_local_or_height_one(certified):
                         L, close(p, X).gens, r_max_faces(r)), (L.name, token)
     # local and height-one systems both occur from two counting coordinates
     assert seen == {(False, True), (True, False), (True, True)}
+
+
+def test_operator_and_faces_are_the_stepping_rules():
+    """Each system's operator, closed primes, maximal closed primes and
+    closure are what the rules they replaced give: closing every prime,
+    and stepping from mod(p, r) to p while H is r-local, then closing a
+    modularization as the hull of its left operand's closure.  On every
+    certified corpus model and its localizations, free 3, free 4 and the
+    face lemma's two mixed products, for its tokens, mod(t,s) and
+    mod(v,w), over 20 seeded ideals each; a token whose operands fail
+    p <= r is skipped."""
+    from idealis import corpus
+    models = [MonoidModel(e.name, e.model.coords)
+              for e in corpus.members() if e.model.certified]
+    models += [free_monoid("free3", 3), free_monoid("free4", 4)]
+    models += map(parse_monoid, MIXED_SPECS)
+    tokens = FACE_TOKENS + ("mod(t,s)", "mod(v,w)")
+    rng = random.Random(28)
+    built = dict.fromkeys(tokens, 0)
+    ops = set()
+    for H in models:
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            box = systems._box_vectors(L, 4)
+            keep = L.counting_mask
+            ideals = [ideal_from([tuple(map(operator.mul, keep, rng.choice(box)))
+                                  for _ in range(rng.randint(1, 3))], L)
+                      for _ in range(20)]
+            for token in tokens:
+                try:
+                    sys = system(token, L)
+                except ValueError as exc:
+                    assert "fails on sample" in str(exc), (L.name, token)
+                    continue
+                built[token] += 1
+                ops.add(sys.op)
+                closed = bf.closed_faces_by_closing(sys)
+                assert systems.closed_faces(sys) == closed, (L.name, token)
+                assert r_max_faces(sys) == bf.maximal_faces(closed), \
+                    (L.name, token)
+                assert sys.op == bf.op_by_stepping(sys), (L.name, token)
+                for X in ideals:
+                    assert close(sys, X).gens == bf.close_by_stepping(
+                        sys, X.gens), (L.name, token, X.gens)
+    assert all(built.values()), built
+    assert ops == {"s", "t", "hull"}
+
+
+def test_faces_at_max_dim_close_nothing(monkeypatch):
+    """s, t and w on free 16, the largest dimension a model takes, read
+    their closed and maximal closed primes off the operator: no closure
+    runs, and the 2^16 - 1 proper faces of s are listed within the bound
+    (closing every prime took 14.1 s on a 2-CPU host)."""
+    from idealis.monoid import MAX_DIM
+
+    def no_close(sys, X):
+        raise AssertionError(f"{sys.label} closed {X.gens}")
+
+    monkeypatch.setattr(systems, "close", no_close)
+    H = free_monoid("free16", MAX_DIM)
+    every = frozenset(range(MAX_DIM))
+    height_one = tuple(sorted((every - {i} for i in range(MAX_DIM)),
+                              key=sorted))
+    t0 = time.perf_counter()
+    for label in ("s", "t", "w"):
+        sys = system(label, H)
+        closed = systems.closed_faces(sys)
+        if label == "s":
+            assert len(closed) == 2 ** MAX_DIM - 1 and closed[0] == frozenset()
+            assert r_max_faces(sys) == (frozenset(),)
+        else:
+            assert closed == r_max_faces(sys) == height_one, label
+    took = time.perf_counter() - t0
+    assert took < 5.0, f"free 16's faces took {took:.1f}s"
 
 
 def test_local_modularization_closes_as_its_left_operand(gap23):
@@ -454,8 +531,7 @@ def test_local_modularization_closes_as_its_left_operand(gap23):
                         L.pack, close(p, X).gens), (L.name, label)
                 if faces == (frozenset(),):
                     # the shortcut fills no cache of its own
-                    assert not [k for k in sys.memo
-                                if k and isinstance(k[0], tuple)], L.name
+                    assert sys.cache is p.cache, L.name
             local += faces == (frozenset(),)
     assert local >= 586
     # the c01 control on w, which closes as s on gap23, still fails A
@@ -488,25 +564,26 @@ def test_shared_axiom_outcome_is_the_unshared_report():
                         partial(close, sys), L, label, *args).to_json()
                     assert axioms_check(sys, *args).to_json() == want, \
                         (L.name, label, args)
-            shared += systems._closes_as(system("w", L)) is system("s", L)
+            shared += system("w", L).op == "s"
     assert shared >= 586
 
 
 def test_shared_axiom_outcome_carries_the_asked_label(monkeypatch, gap23):
-    """A failure in s's closure shows in w's report on a t-local model
-    under w's own label, whichever system is checked first."""
+    """A failure in the closure of the systems that close as s shows in
+    w's report on a t-local model under w's own label, whichever system is
+    checked first."""
     from idealis.ideals import Ideal
     real = systems.close
 
     def broken_s(sys, X):
         Y = real(sys, X)
-        return Ideal(Y.monoid, Y.gens[:-1]) if sys.label == "s" else Y
+        return Ideal(Y.monoid, Y.gens[:-1]) if sys.op == "s" else Y
 
     monkeypatch.setattr(systems, "close", broken_s)
     for order in ("ws", "sw"):
         # a fresh memo, so no outcome from an earlier check is read
         H = MonoidModel(gap23.name, gap23.coords)
-        assert systems._closes_as(system("w", H)) is system("s", H)
+        assert system("w", H).op == "s"
         reps = {label: axioms_check(system(label, H), 200, 4, 0).to_json()
                 for label in order}
         for label, doc in reps.items():
@@ -560,8 +637,7 @@ def test_closure_memos_keep_one_object_per_value():
             values = L.memo.get(("closures",), {})
             memos = [(sys, key, Y) for sys in L.memo.values()
                      if isinstance(sys, systems.System)
-                     for key, Y in sys.memo.items()
-                     if key and isinstance(key[0], tuple)]
+                     for key, Y in sys.cache.items()]
             inputs = {id(key) for _, key, _ in memos}
             for sys, key, Y in memos:
                 assert values[Y.gens] is Y, (L.name, sys.label, key)
@@ -749,9 +825,11 @@ PRODUCT_SPECS = {
 
 def test_product_lattice_matches_enumeration(certified):
     """The product of per-axis lattices is the whole-box next-closure
-    family, tuple for tuple and budget message for budget message.  mod(s,s)
-    has a maximal face of height d on a d-dimensional model, so from d = 2
-    on it must take the whole-box path."""
+    family, tuple for tuple and budget message for budget message.  s and
+    mod(s,s) close as s, whose one maximal closed prime has height d on a
+    model with d counting coordinates, so from d = 2 on they must take the
+    whole-box path; mod(mod(s,s),t) closes as the hull there and takes the
+    product path."""
     # n2 and n3 are free 2 and free 3
     models = dict(certified)
     models.update((name, parse_monoid(f"name = {name}\n{spec}"))
@@ -759,10 +837,11 @@ def test_product_lattice_matches_enumeration(certified):
     for name, H in models.items():
         # the whole-box reference grows with the box; keep it to seconds
         radii = {2: (4, 6, 8), 3: (4,)}.get(len(H.counting), (4, 5, 6, 7, 8))
-        for label in ("t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)"):
+        for label in ("s", "t", "v", "w", "mod(s,v)", "mod(t,t)", "mod(s,s)",
+                      "mod(mod(s,s),t)"):
             sys = system(label, H)
             assert systems._coordinatewise(sys) == (
-                label != "mod(s,s)" or len(H.counting) < 2), (name, label)
+                sys.op != "s" or len(H.counting) <= 1), (name, label)
             for radius in radii:
                 for cap in (20, 20000):
                     want = _enumerated(sys, radius, cap)
