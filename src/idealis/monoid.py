@@ -39,6 +39,13 @@ class Coordinate:
         """The largest gap, -1 when there is none."""
         return self.conductor - 1
 
+    @property
+    def symmetric(self) -> bool:
+        """Is x a member exactly when F - x is not, for 0 <= x <= F, with F
+        the Frobenius number?  True for N and Z, which have no gap."""
+        F = self.frobenius
+        return all(self.member(x) != self.member(F - x) for x in range(F + 1))
+
     def member(self, x: int) -> bool:
         if self.kind == "group":
             return True

@@ -1,5 +1,5 @@
 """The finitary ideal systems s, t (= finitary v), w, and generic
-modularizations mod(p, r), together with the axiom and comparison checkers.
+modularizations mod(p, r), together with the sampled axiom checker.
 
 A ``System`` is bound to its monoid, and ``system`` decides once, in
 ``System.op``, which of three operators closes a finitely generated X:
@@ -13,7 +13,8 @@ mod(p, r) closes as p where H is r-local, and otherwise as the hull of the
 p-closure, which is the p-closure itself unless p closes as s; w is
 mod(s, t).  The closed primes are read off the operator: every prime under
 s, the height-one ones under t and the hull (``docs/exactness.md``, "Three
-closure operators").
+closure operators").  So is the order p <= r that mod(p, r) needs: s <=
+hull <= t on every model ("The order of the three operators").
 """
 
 import random
@@ -25,8 +26,8 @@ from math import prod
 from operator import add, mul
 
 from . import _kernel as K
-from .ideals import (Ideal, _translate, _trusted_ideal, ideal_eq,
-                     ideal_intersect, ideal_subset, ideal_union, unit_ideal)
+from .ideals import (Ideal, _translate, _trusted_ideal, ideal_intersect,
+                     ideal_subset, ideal_union, unit_ideal)
 from .monoid import MonoidModel, memoised
 
 
@@ -81,7 +82,9 @@ def system(token: str, H: MonoidModel) -> System:
         elif token.startswith("mod(") and token.endswith(")"):
             left, right = _split_args(token[4:-1])
             p, r = system(left, H), system(right, H)
-            _check_leq_pre(p, r)
+            if _rank(p.op, H) > _rank(r.op, H):
+                raise ValueError(f"{p.label} <= {r.label} fails: the "
+                                 f"operators compare as {p.op} > {r.op}")
         else:
             raise ValueError(f"unknown ideal system {token!r}")
         local = r_max_faces(r) == _LOCAL
@@ -100,11 +103,16 @@ def modularization(p: System, r: System) -> System:
     return system(f"mod({p.label},{r.label})", p.monoid)
 
 
-def _check_leq_pre(p: System, r: System):
-    rep = leq_check(p, r, samples=16, radius=4, seed=7)
-    if not rep.ok:
-        raise ValueError(
-            f"{p.label} <= {r.label} fails on sample {rep.failures[0]}")
+def _rank(op: str, H: MonoidModel) -> int:
+    """op's place in the order s <= hull <= t of the operators' closures
+    on H, operators that agree on H sharing one: the hull is s on at most
+    one counting coordinate, and t is the hull where every counting
+    coordinate is symmetric (``docs/exactness.md``, "The order of the
+    three operators").  Like every closure, it needs a product model."""
+    H.pack  # raises ValueError on an affine model
+    counting = [H.coords[i] for i in H.counting]
+    return ((op != "s" and len(counting) > 1)
+            + (op == "t" and not all(c.symmetric for c in counting)))
 
 
 def _prime_gens(H: MonoidModel, face: frozenset) -> tuple:
@@ -491,34 +499,6 @@ def axioms_check(sys: System, samples: int, radius: int, seed: int = 0) -> Check
                         for f in failures])
 
 
-def leq_check(p: System, r: System, samples: int, radius: int = 6,
-              seed: int = 0) -> CheckReport:
-    """Sampled check that p-closure is contained in r-closure, recording a
-    strictness witness when some sample separates them."""
-    if p.monoid is not r.monoid:
-        raise ValueError("systems bound to different monoids")
-    _check_samples(samples)
-    H = p.monoid
-    below, sample = _sampler(random.Random(seed), H.enumerate(radius),
-                             _box_vectors(H, radius))
-    failures = []
-    strict_witness = None
-    for _ in range(samples):
-        gens = sample(1 + below(4))
-        X = _trusted_ideal(gens, H)
-        Xp, Xr = close(p, X), close(r, X)
-        if not ideal_subset(Xp, Xr):
-            bad = next(g for g in Xp.gens if not Xr.contains_vec(g))
-            failures.append({"gens": [list(v) for v in gens],
-                             "witness": list(bad)})
-        elif strict_witness is None and not ideal_eq(Xp, Xr):
-            extra = next(g for g in Xr.gens if not Xp.contains_vec(g))
-            strict_witness = {"gens": [list(v) for v in gens],
-                              "element": list(extra)}
-    return CheckReport(f"leq[{p.label},{r.label}]", H.name, samples, radius,
-                       seed, {"leq": samples}, failures, strict_witness)
-
-
 def modular_law_violation(sys: System, I: Ideal, J: Ideal, N: Ideal, *,
                           joined: Ideal = None, met: Ideal = None):
     """Witness element breaking (I u J)_r cap N into (I u (J cap N))_r, or
@@ -562,7 +542,8 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
     sizes, and the s-family holds at least 2^w - 1 ideals when w distinct
     canonical box vectors share one coordinate sum.  The verdict machinery
     falls back to structural arguments then.  The result, or the
-    BudgetExceeded, is memoised per (radius, cap, max_ground).
+    BudgetExceeded, is memoised per (radius, cap, max_ground).  An affine
+    model raises ValueError under every system.
     """
     return memoised(sys, ("lattice", radius, cap, max_ground),
                     lambda: _lattice(sys, radius, cap, max_ground))
@@ -571,19 +552,18 @@ def closed_ideals(sys: System, radius: int, cap: int = 20000,
 def _coordinatewise(sys: System) -> bool:
     """Is every sys-closure a product of one-dimensional modules, one per
     counting coordinate, each depending on that coordinate of the input
-    alone?  True under t and the hull, and under s on a product model
-    with at most one counting coordinate."""
-    H = sys.monoid
-    return sys.op != "s" or H.certified and len(H.counting) <= 1
+    alone?  True under t and the hull, and under s with at most one
+    counting coordinate."""
+    return sys.op != "s" or len(sys.monoid.counting) <= 1
 
 
 def _lattice(sys: System, radius: int, cap: int, max_ground: int):
     """closed_ideals' family."""
     H = sys.monoid
-    # A certified box is counted before it is built: it is the product of
-    # each coordinate's members in [-radius, radius].
-    n = (prod(sum(map(c.member, range(-radius, radius + 1))) for c in H.coords)
-         if H.certified else len(H.enumerate(radius)))
+    H.pack  # raises ValueError on an affine model, whatever sys closes as
+    # The box is counted before it is built: it is the product of each
+    # coordinate's members in [-radius, radius].
+    n = prod(sum(map(c.member, range(-radius, radius + 1))) for c in H.coords)
     if n > max_ground:
         raise K.BudgetExceeded(
             f"{sys.label}-lattice ground set has {n} > {max_ground} vectors")

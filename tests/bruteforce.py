@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import numpy as np
 
@@ -695,3 +696,36 @@ def op_by_stepping(sys) -> str:
     if sys.kind != "mod":
         return "s" if sys.kind == "s" else "t"
     return "t" if op_by_stepping(sys.parts[0]) == "t" else "hull"
+
+
+def leq_check(p, r, samples: int, radius: int = 6, seed: int = 0):
+    """Sampled check that p-closure is contained in r-closure, recording a
+    strictness witness when some sample separates them: the precondition
+    ``systems.system`` sampled for mod(p, r) at (16, 4, 7) before it
+    decided p <= r from the operators."""
+    from idealis.ideals import _trusted_ideal, ideal_eq, ideal_subset
+    from idealis.systems import (CheckReport, _box_vectors, _check_samples,
+                                 _sampler, close)
+
+    if p.monoid is not r.monoid:
+        raise ValueError("systems bound to different monoids")
+    _check_samples(samples)
+    H = p.monoid
+    below, sample = _sampler(random.Random(seed), H.enumerate(radius),
+                             _box_vectors(H, radius))
+    failures = []
+    strict_witness = None
+    for _ in range(samples):
+        gens = sample(1 + below(4))
+        X = _trusted_ideal(gens, H)
+        Xp, Xr = close(p, X), close(r, X)
+        if not ideal_subset(Xp, Xr):
+            bad = next(g for g in Xp.gens if not Xr.contains_vec(g))
+            failures.append({"gens": [list(v) for v in gens],
+                             "witness": list(bad)})
+        elif strict_witness is None and not ideal_eq(Xp, Xr):
+            extra = next(g for g in Xr.gens if not Xp.contains_vec(g))
+            strict_witness = {"gens": [list(v) for v in gens],
+                              "element": list(extra)}
+    return CheckReport(f"leq[{p.label},{r.label}]", H.name, samples, radius,
+                       seed, {"leq": samples}, failures, strict_witness)

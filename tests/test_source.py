@@ -72,6 +72,33 @@ def test_cli_imports_no_process_pool():
     assert r.stdout == "[]\n"
 
 
+def _uses_random(node) -> bool:
+    if isinstance(node, ast.Import):
+        return "random" in {a.name for a in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "random"
+    return getattr(node, "id", None) == "random"
+
+
+def test_sampling_stays_in_the_axiom_check():
+    # the axiom check's draw tape is the package's one random draw: every
+    # other decision, p <= r for mod(p, r) included, is exact.  Only
+    # systems.py imports random, and only its _draw_stream reads it.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "systems.py":
+            for node in tree.body:
+                if isinstance(node, ast.Import) \
+                        or getattr(node, "name", None) == "_draw_stream":
+                    allowed |= {id(n) for n in ast.walk(node)}
+        found += [f"{path.relative_to(SRC)}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if _uses_random(node) and id(node) not in allowed]
+    assert not found, found
+
+
 def test_readme_library_example():
     # every "expr  # value" line of the python block evaluates to its value
     text = (ROOT / "README.md").read_text()

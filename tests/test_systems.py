@@ -15,9 +15,9 @@ from idealis import systems
 from idealis.ideals import Ideal, ideal_from, ideal_subset
 from idealis.monoid import MonoidModel, free_monoid, parse_monoid
 from idealis.systems import (axioms_check, close, closed_ideals,
-                             dropped_generator_close, leq_check,
-                             modular_close, modular_law_violation,
-                             modularization, r_max_faces, system)
+                             dropped_generator_close, modular_close,
+                             modular_law_violation, modularization,
+                             r_max_faces, system)
 
 
 def members_set(I, window):
@@ -45,9 +45,9 @@ def test_unknown_token(gap23):
 
 
 def test_mod_requires_comparable_systems(n345):
-    # t does not sit below s here: ideal{4,5} is not divisorial, which the
-    # sampled precondition sees inside radius 4
-    with pytest.raises(ValueError):
+    # t does not sit below s here: <3,4,5> is not symmetric, so ideal{4,5}
+    # is not divisorial
+    with pytest.raises(ValueError, match="operators compare as t > s"):
         system("mod(t,s)", n345)
 
 
@@ -99,8 +99,8 @@ def test_w_closure_matches_grid(named, name):
 def test_s_below_w_below_t(certified):
     for H in certified.values():
         for lo, hi in (("s", "w"), ("w", "t")):
-            rep = leq_check(system(lo, H), system(hi, H), samples=20,
-                            radius=4, seed=1)
+            rep = bf.leq_check(system(lo, H), system(hi, H), samples=20,
+                               radius=4, seed=1)
             assert rep.ok, (H.name, lo, hi, rep.failures)
 
 
@@ -462,7 +462,7 @@ def test_operator_and_faces_are_the_stepping_rules():
                 try:
                     sys = system(token, L)
                 except ValueError as exc:
-                    assert "fails on sample" in str(exc), (L.name, token)
+                    assert "operators compare as" in str(exc), (L.name, token)
                     continue
                 built[token] += 1
                 ops.add(sys.op)
@@ -476,6 +476,83 @@ def test_operator_and_faces_are_the_stepping_rules():
                         sys, X.gens), (L.name, token, X.gens)
     assert all(built.values()), built
     assert ops == {"s", "t", "hull"}
+
+
+# The modularizations of the order test besides the face lemma's, and the
+# semigroups whose products with N, Z and one another it adds.
+ORDER_TOKENS = ("mod(t,s)", "mod(v,s)", "mod(t,w)", "mod(v,w)", "mod(w,s)",
+                "mod(t,mod(s,s))", "mod(mod(t,t),s)", "mod(s,t)",
+                "mod(w,mod(s,s))")
+ORDER_FACTORS = ("numerical 3 4 5", "numerical 2 3", "numerical 2 5",
+                 "numerical 3 5 7")
+
+
+def test_order_is_the_sampled_precondition():
+    """mod(p, r) resolves exactly where the sampled p <= r check it
+    replaced passes (``bruteforce.leq_check`` at 16 samples, radius 4 and
+    seed 7), for ORDER_TOKENS and the face lemma's modularizations.  On
+    every certified corpus model, free 3, free 4, the face lemma's two
+    mixed products, the products of ORDER_FACTORS with N, Z and one
+    another, and every localization of these.  Sampling can refute p <= r
+    only, so the rule is sound where it accepts, and the sample finds a
+    refutation wherever it rejects."""
+    from idealis import corpus
+    models = [MonoidModel(e.name, e.model.coords)
+              for e in corpus.members() if e.model.certified]
+    models += [free_monoid("free3", 3), free_monoid("free4", 4)]
+    models += map(parse_monoid, MIXED_SPECS)
+    models += [parse_monoid(f"name = x{k}\ncoord = {a}\ncoord = {b}")
+               for k, (a, b) in enumerate(
+                   itertools.combinations_with_replacement(
+                       ORDER_FACTORS + ("free 1", "group 1"), 2))
+               if a in ORDER_FACTORS]
+    tokens = ORDER_TOKENS + tuple(t for t in FACE_TOKENS if t[:4] == "mod(")
+    verdicts = {token: set() for token in tokens}
+    for H in models:
+        for L in [H] + [H.localize(f) for f in systems.proper_faces(H) if f]:
+            for token in tokens:
+                p, r = (system(x, L)
+                        for x in systems._split_args(token[4:-1]))
+                want = bf.leq_check(p, r, samples=16, radius=4, seed=7).ok
+                try:
+                    system(token, L)
+                    got = True
+                except ValueError as exc:
+                    assert f"operators compare as {p.op} > {r.op}" in \
+                        str(exc), (L.name, token)
+                    got = False
+                assert got == want, (L.name, token)
+                verdicts[token].add(got)
+    # each collapse both holds and fails somewhere: t = s (mod(t,s)),
+    # hull = s (mod(w,s)) and t = hull (mod(t,w))
+    assert all(verdicts[t] == {True, False}
+               for t in ("mod(t,s)", "mod(w,s)", "mod(t,w)")), verdicts
+    assert verdicts["mod(s,t)"] == verdicts["mod(w,t)"] == {True}
+
+
+def test_t_is_s_exactly_on_symmetric_coordinates():
+    """A numerical semigroup has every fractional ideal divisorial exactly
+    when it is symmetric (Kunz), which is the t = s collapse of the order:
+    on every one-dimensional certified corpus model, t leaves every ideal
+    with at most three generators in [0, F + n1 + 2) as it is exactly
+    when the coordinate is symmetric."""
+    from idealis import corpus
+    seen = []
+    for e in corpus.members():
+        if not e.model.certified or e.model.dim != 1:
+            continue
+        H = MonoidModel(e.name, e.model.coords)
+        c = H.coords[0]
+        t = system("t", H)
+        top = c.frobenius + c.n1 + 2
+        divisorial = all(
+            close(t, X).gens == X.gens
+            for k in (1, 2, 3)
+            for X in (ideal_from([(g,) for g in gens], H)
+                      for gens in itertools.combinations(range(top), k)))
+        assert divisorial == c.symmetric, e.name
+        seen.append(c.symmetric)
+    assert 0 < sum(seen) < len(seen)
 
 
 def test_faces_at_max_dim_close_nothing(monkeypatch):
@@ -504,6 +581,38 @@ def test_faces_at_max_dim_close_nothing(monkeypatch):
             assert closed == r_max_faces(sys) == height_one, label
     took = time.perf_counter() - t0
     assert took < 5.0, f"free 16's faces took {took:.1f}s"
+
+
+def test_tokens_at_max_dim_resolve_from_the_operators(monkeypatch):
+    """Every FACE_TOKENS entry, mod(t,s) and mod(v,w) resolve on free 16,
+    the largest dimension a model takes, within the bound (under 1 ms
+    measured on a 2-CPU host): nothing is drawn, enumerated or closed.
+    The hull is t there and s lies below it, so mod(t,s) alone fails."""
+    from idealis.monoid import MAX_DIM
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"called with {args}")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    monkeypatch.setattr(MonoidModel, "enumerate", refuse)
+    monkeypatch.setattr(systems, "_box_vectors", refuse)
+    monkeypatch.setattr(systems, "close", refuse)
+    H = free_monoid("free16", MAX_DIM)
+    t0 = time.perf_counter()
+    ops = {token: system(token, H).op for token in FACE_TOKENS + ("mod(v,w)",)}
+    with pytest.raises(ValueError, match="operators compare as t > s"):
+        system("mod(t,s)", H)
+    took = time.perf_counter() - t0
+    assert ops["mod(v,w)"] == "t" and ops["w"] == "hull"
+    assert took < 0.5, f"free 16's tokens took {took:.2f}s"
+
+
+def test_affine_lattice_raises_under_every_system(affine1):
+    # an affine model has no kernel pack: no system lists its closed ideals
+    H = MonoidModel(affine1.name, affine_gens=affine1.affine_gens)
+    for label in ("s", "t", "w"):
+        with pytest.raises(ValueError, match="affine models have no kernel"):
+            closed_ideals(system(label, H), 3)
 
 
 def test_local_modularization_closes_as_its_left_operand(gap23):
@@ -915,8 +1024,8 @@ def test_sampler_draw_stream_is_pinned(monkeypatch, named):
             rep = axioms_check(system(label, H), samples=60, radius=4, seed=5)
             docs.append(rep.to_json())
     H = models[2]
-    docs.append(leq_check(system("w", H), system("t", H), samples=40,
-                          radius=4, seed=3).to_json())
+    docs.append(bf.leq_check(system("w", H), system("t", H), samples=40,
+                             radius=4, seed=3).to_json())
     gap23 = models[0]
     docs.append(systems._axioms_check_fn(
         dropped_generator_close(system("t", gap23)), gap23,
@@ -937,4 +1046,4 @@ def test_checks_reject_non_positive_samples(gap23, samples):
     with pytest.raises(ValueError, match="samples must be at least 1"):
         axioms_check(t, samples=samples, radius=4)
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        leq_check(s, t, samples=samples, radius=4)
+        bf.leq_check(s, t, samples=samples, radius=4)
