@@ -69,6 +69,7 @@ from .spectrum import (
 )
 from .systems import (
     System,
+    _coordinatewise,
     close,
     closed_faces,
     closed_ideals,
@@ -180,11 +181,8 @@ def _vjson(v: _V) -> dict:
 
 
 def _eff_kind(sys: System) -> str:
-    """Collapse a system token to its effective closure kind.
-
-    Valid as a shortcut on regular models only: there w coincides with t and
-    any modularization of p by the s-system stays at p.
-    """
+    """"s" if the token is built from s alone, else "t".  On every model
+    it picks lattice radii and note text."""
     if sys.kind == "s":
         return "s"
     if sys.kind in ("t", "v"):
@@ -255,7 +253,8 @@ class PropertyContext:
         return self.lattice_at(r)
 
     def cells(self):
-        """Support cells with nonempty counting support, sorted by gens.
+        """Support cells with nonempty counting support, sorted by gens;
+        memoised on the model, which every system shares.
 
         Each cell is closed under every system between s and v on these
         models; ``test_true_branches_hold_on_boxes`` checks that.
@@ -272,7 +271,7 @@ class PropertyContext:
             out.sort(key=lambda sc: sc[1].gens)
             return tuple(out)
 
-        return memoised(self.sys, "cells", build)
+        return memoised(H, "cells", build)
 
     def closed_primes(self):
         # closed_faces is in proper_faces order: (face size, sorted face)
@@ -524,10 +523,10 @@ def _p_sp(ctx):
                   note=f"the principal ideal {list(w.gens[0])}+H has no "
                        "factorization into radical closed ideals; its "
                        "radical is not invertible")
-    if ctx.eff == "t":
-        return _t(note="closed ideals are principal and peel along supports")
-    if len(H.counting) <= 1:
-        return _t(note="closed ideals are powers of the height-one cell")
+    if _coordinatewise(ctx.sys):
+        return _t(note="closed ideals are principal and peel along supports"
+                  if ctx.eff == "t"
+                  else "closed ideals are powers of the height-one cell")
     w = _pair_witness(ctx, 3)
     if not ideal_eq(close(ctx.sys, w), w):
         raise AssertionError
@@ -554,7 +553,7 @@ def _fg_closed(name, word):
                 raise AssertionError
             return _f(C, note="closed finitely generated support cell that "
                               f"is not {word}")
-        if ctx.eff == "t" or len(H.counting) == 1:
+        if _coordinatewise(ctx.sys):
             return _t(note="closed finitely generated ideals are principal")
         M = _two_gen_max(ctx)
         if _TESTS[word](M, ctx.sys):
@@ -637,7 +636,7 @@ def _prime_power(name, primary, vacuous_note):
         H = ctx.monoid
         if not H.counting:
             return _t(note=vacuous_note, vacuous=True)
-        if ctx.regular and (ctx.eff == "t" or len(H.counting) == 1):
+        if ctx.regular and _coordinatewise(ctx.sys):
             return _t(note=f"{what}s with prime radical are powers of the "
                            "corresponding cell")
         found = None
@@ -738,7 +737,7 @@ def _p_cancellative(ctx):
     H = ctx.monoid
     if not H.counting:
         return _t(note="products of copies of H stay H", vacuous=True)
-    if ctx.regular and (ctx.eff == "t" or len(H.counting) == 1):
+    if ctx.regular and _coordinatewise(ctx.sys):
         return _t(note="closed ideals are principal, multiplication is "
                        "translation")
     r = min(ctx.radius, 3) if ctx.eff == "s" else ctx.radius
@@ -1019,7 +1018,7 @@ def _p_closed_comparable_radical_product(ctx):
                                  "closed ideals, comparable or not")
     if ctx.singular:
         return refute(ctx, _least_singular_principal(ctx))
-    if ctx.eff == "t" or len(H.counting) == 1:
+    if _coordinatewise(ctx.sys):
         return _t(note="support peeling writes closed ideals as nested "
                        "radical products")
     return refute(ctx, _pair_witness(ctx, 3))

@@ -2,8 +2,9 @@
 
 Commands: ``analyze`` (property matrix, suites, spectrum, axiom battery),
 ``closure``, ``factor``, ``spectrum``, ``verify`` (TFAE suites), ``corpus``
-(list or write the built-in corpus).  Reports are deterministic for a fixed
-configuration; timing goes to stderr.  Exit status 1 means a suite
+(list or write the built-in corpus).  ``_report`` makes each model's
+report for every subcommand but corpus.  Reports are deterministic for a
+fixed configuration; timing goes to stderr.  Exit status 1 means a suite
 disagreed, an axiom check failed, or (under --strict) an input was not
 certified; usage, parse, and I/O problems exit 2.
 """
@@ -101,21 +102,35 @@ def _load_specs(paths) -> list:
     return specs
 
 
-def _check_element_dim(gens, H: MonoidModel) -> None:
-    if len(gens[0]) != H.dim:
-        raise CliError(
-            f"--element vectors have {len(gens[0])} coordinates; "
-            f"{H.name} has {H.dim}")
+def _report(H: MonoidModel, args) -> dict:
+    """One model's report under the run's subcommand; _task renders it
+    and reads the exit status off it (see _failed).
+
+    Around a body with a ``needs`` (see _COMMANDS) this keeps the contract
+    of docs/schema.md, "Per-command reports": a wrong --element dimension
+    exits 2 first, an uncertified model degrades to a note before
+    --system is read, and a ValueError (a bad or unordered system token)
+    exits 2 naming the model.
+    """
+    body, _, needs = _COMMANDS[args.command]
+    if needs is None:
+        return body(H, args)
+    element = getattr(args, "element", None)
+    if element is not None and len(element[0]) != H.dim:
+        raise CliError(f"--element vectors have {len(element[0])} "
+                       f"coordinates; {H.name} has {H.dim}")
+    if not H.certified:
+        return {"monoid": H.name, "certified": False,
+                "note": f"{H.name}: {needs} needs a certified product model"}
+    try:
+        fields = body(H, args)
+    except ValueError as exc:
+        raise CliError(f"{H.name}: {exc}") from None
+    return {"monoid": H.name, "certified": True, **fields}
 
 
-# Per-monoid workers.  Each returns its report dict, which _task renders
-# and reads the exit status off (see _failed).  A worker that builds a
-# system first degrades on an uncertified model.
-
-def _uncertified_report(H: MonoidModel, what: str) -> dict:
-    return {"monoid": H.name, "certified": False,
-            "note": f"{H.name}: {what} needs a certified product model"}
-
+# Per-model bodies.  A body with a needs returns its own fields, which
+# _report completes; analyze's returns the whole report.
 
 def _cmd_analyze(H: MonoidModel, args) -> dict:
     doc = classify(H, args.radius)
@@ -128,18 +143,10 @@ def _cmd_analyze(H: MonoidModel, args) -> dict:
 
 
 def _cmd_closure(H: MonoidModel, args) -> dict:
-    _check_element_dim(args.element, H)
-    if not H.certified:
-        return _uncertified_report(H, "ideal arithmetic")
-    try:
-        sysH = system(args.system, H)
-        X = ideal_from(args.element, H)
-        closed = close(sysH, X)
-    except ValueError as exc:
-        raise CliError(f"{H.name}: {exc}") from None
+    sysH = system(args.system, H)
+    X = ideal_from(args.element, H)
+    closed = close(sysH, X)
     return {
-        "monoid": H.name,
-        "certified": True,
         "system": sysH.label,
         "input": X.to_json(),
         "closed": closed.to_json(),
@@ -148,21 +155,13 @@ def _cmd_closure(H: MonoidModel, args) -> dict:
 
 
 def _cmd_factor(H: MonoidModel, args) -> dict:
-    _check_element_dim(args.element, H)
-    if not H.certified:
-        return _uncertified_report(H, "ideal arithmetic")
-    try:
-        sysH = system(args.system, H)
-        if len(args.element) == 1 and sysH.label == "t":
-            result = radical_factor_principal(H, args.element[0])
-        else:
-            target = close(sysH, ideal_from(args.element, H))
-            result = sp_factor(target, sysH)
-    except ValueError as exc:
-        raise CliError(f"{H.name}: {exc}") from None
+    sysH = system(args.system, H)
+    if len(args.element) == 1 and sysH.label == "t":
+        result = radical_factor_principal(H, args.element[0])
+    else:
+        target = close(sysH, ideal_from(args.element, H))
+        result = sp_factor(target, sysH)
     return {
-        "monoid": H.name,
-        "certified": True,
         "system": sysH.label,
         "element": [list(g) for g in args.element],
         "ok": result.ok,
@@ -171,23 +170,13 @@ def _cmd_factor(H: MonoidModel, args) -> dict:
 
 
 def _cmd_spectrum(H: MonoidModel, args) -> dict:
-    if not H.certified:
-        return _uncertified_report(H, "exact spectrum")
-    try:
-        sysH = system(args.system, H)
-        body = spectrum_json(sysH)
-    except ValueError as exc:
-        raise CliError(f"{H.name}: {exc}") from None
-    return {"monoid": H.name, "certified": True, "system": sysH.label, **body}
+    sysH = system(args.system, H)
+    return {"system": sysH.label, **spectrum_json(sysH)}
 
 
 def _cmd_verify(H: MonoidModel, args) -> dict:
-    if not H.certified:
-        return _uncertified_report(H, "exact spectrum")
     names = (args.suite,) if args.suite else None
     return {
-        "monoid": H.name,
-        "certified": True,
         "radius": args.radius,
         "suites": {name: rep.to_json() for name, rep
                    in suite_battery(H, args.radius, names).items()},
@@ -517,15 +506,17 @@ def _cmd_corpus(args) -> list:
     ]
 
 
-# Each subcommand's worker and text block.  The corpus worker takes the
-# arguments alone; every other one runs per model (see _run_models).
+# Each subcommand's body, text block and needs: what its note says needs
+# a certified model, None where the body answers an uncertified one
+# itself.  The corpus body takes the arguments alone; every other one
+# runs per model through _report (see _run_models).
 _COMMANDS = {
-    "analyze": (_cmd_analyze, _text_analyze),
-    "closure": (_cmd_closure, _text_closure),
-    "factor": (_cmd_factor, _text_factor),
-    "spectrum": (_cmd_spectrum, _text_spectrum),
-    "verify": (_cmd_verify, _text_verify),
-    "corpus": (_cmd_corpus, _text_corpus),
+    "analyze": (_cmd_analyze, _text_analyze, None),
+    "closure": (_cmd_closure, _text_closure, "ideal arithmetic"),
+    "factor": (_cmd_factor, _text_factor, "ideal arithmetic"),
+    "spectrum": (_cmd_spectrum, _text_spectrum, "exact spectrum"),
+    "verify": (_cmd_verify, _text_verify, "exact spectrum"),
+    "corpus": (_cmd_corpus, _text_corpus, None),
 }
 
 
@@ -605,13 +596,12 @@ def run(argv=None) -> int:
     if getattr(args, "element", None) is not None:
         args.element = parse_element(args.element)
 
-    worker = _COMMANDS[args.command][0]
     if args.command == "corpus":
-        results = [_rendered(args, row) for row in worker(args)]
+        results = [_rendered(args, row) for row in _cmd_corpus(args)]
     else:
         specs = _load_specs(_collect_specs(args.inputs))
         with report_mod.stopwatch("total"):
-            results = _run_models(specs, worker, args)
+            results = _run_models(specs, _report, args)
     # every fragment is in before the first write, so a run that fails
     # partway writes nothing to stdout
     _write(args, [fragment for fragment, _ in results])

@@ -10,7 +10,7 @@ primes (``test_r_max_is_maximal_on_boxes``) and the DVM verdict against a
 pair sweep (``test_is_dvm_matches_pair_sweep_oracle``).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ideals import Ideal, ideal_subset
 from .monoid import MonoidModel, memoised
@@ -40,13 +40,13 @@ class PrimeIdeal:
 class Spectrum:
     monoid: MonoidModel
     primes: tuple
+    faces: dict = field(repr=False)     # face -> its prime, built once
 
     def by_face(self, face) -> PrimeIdeal:
-        face = frozenset(face)
-        for P in self.primes:
-            if P.face == face:
-                return P
-        raise KeyError(f"no prime with face {sorted(face)}")
+        try:
+            return self.faces[frozenset(face)]
+        except KeyError:
+            raise KeyError(f"no prime with face {sorted(face)}") from None
 
 
 def _check_certified(H: MonoidModel):
@@ -62,10 +62,11 @@ def primes(H: MonoidModel) -> Spectrum:
 
     def build():
         n = len(H.counting)
-        return Spectrum(H, tuple(
+        ps = tuple(
             PrimeIdeal(H, face, Ideal(H, _prime_gens(H, face)), n - len(face))
             for face in sorted(proper_faces(H),
-                               key=lambda f: (n - len(f), tuple(sorted(f))))))
+                               key=lambda f: (n - len(f), tuple(sorted(f)))))
+        return Spectrum(H, ps, {P.face: P for P in ps})
 
     return memoised(H, "spectrum", build)
 

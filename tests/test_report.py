@@ -51,8 +51,7 @@ def test_cli_goldens(named, tmp_path, argv):
     args = cli._build_parser().parse_args(argv + ["--json"])
     if getattr(args, "element", None) is not None:
         args.element = cli.parse_element(args.element)
-    worker = cli._COMMANDS[command][0]
-    reports = [worker(named[Path(p).stem], args) for p in args.inputs]
+    reports = [cli._report(named[Path(p).stem], args) for p in args.inputs]
     for rep in reports:
         assert_canonical(rep)
     assert_canonical(report.envelope(idealis.__version__, command,

@@ -249,3 +249,27 @@ def test_bench_kernel_runs(capsys):
     rows = capsys.readouterr().out.splitlines()[2:]
     assert [row.rsplit(None, 1)[0].strip() for row in rows] == \
         [label for label, *_ in bench.workloads()]
+
+
+def test_cli_contract_lives_in_report():
+    # the per-command contract is written once, in cli._report: no
+    # subcommand body raises CliError or catches an exception, and no body
+    # that takes a model reads .certified (corpus, which takes the
+    # arguments alone, lists each member's flag)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name.startswith("_cmd_")]
+    assert len(bodies) == 6
+    found = []
+    for fn in bodies:
+        takes_model = fn.args.args[0].arg != "args"
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise) and "CliError" in {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name)}:
+                found.append(f"{fn.name}:{node.lineno} raises CliError")
+            elif isinstance(node, ast.ExceptHandler):
+                found.append(f"{fn.name}:{node.lineno} catches")
+            elif takes_model and isinstance(node, ast.Attribute) \
+                    and node.attr == "certified":
+                found.append(f"{fn.name}:{node.lineno} reads .certified")
+    assert not found, found
