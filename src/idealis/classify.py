@@ -15,13 +15,14 @@ height-one primes, primary or not), and each such pair is one registering
 factory called twice with what differs.  ``MATRIX_PROPS`` is every
 registered property outside the element-wise ``GLOBAL_PROPS``.
 
-False verdicts carry validated witnesses: a witness that fails its own
-check raises AssertionError instead of being reported.  The exhaustive
-radical-product search depends only on the system, the witness and the
-universe of factors, so the system's memo keeps its result and each such
-search runs once however many deciders refute at that witness.  True
-verdicts rest on the structural arguments in ``docs/exactness.md``; the box
-and lattice re-checks of those arguments live in ``tests/test_classify.py``
+False verdicts carry witnesses.  A witness that a cheap check validates
+raises AssertionError if the check fails instead of being reported.  The
+radical-product and meager-family refutations at the least singular
+principal ideal and at the pair witness search nothing: they rest on the
+lemmas of ``docs/exactness.md``, "Fixed-witness refutations", and
+``tests/test_classify.py`` holds them against exhaustive oracles.  True
+verdicts rest on the structural arguments there too; the box and lattice
+re-checks of those arguments live in ``tests/test_classify.py``
 (``test_true_branches_hold_on_boxes``).
 """
 
@@ -37,10 +38,7 @@ from .factor import (
     class_group_probe,
     invertible_radicals,
     is_invertible,
-    meager_factor,
-    meager_family,
     power_depth,
-    power_depths,
     radical_closed_ideals,
     radical_factor_principal,
     sp_factor,
@@ -55,7 +53,6 @@ from .ideals import (
     ideal_union,
     principal,
     radical,
-    unit_ideal,
 )
 from .monoid import MonoidModel, memoised
 from .spectrum import (
@@ -341,67 +338,6 @@ def _box_primary(ctx: PropertyContext, I: Ideal) -> bool:
     return memoised(H, ("box_primary", I.gens, radius), scan)
 
 
-def _radical_product_search(ctx: PropertyContext, I: Ideal,
-                            invertible: bool = False):
-    """Exhaustive bounded search for a product of proper radical closed
-    ideals, invertible ones only when ``invertible``, equal to I; returns
-    the factor list or None.  Nothing in it depends on the radius, so the
-    result is kept in the system's memo."""
-    return memoised(ctx.sys, ("radical_product", I.gens, invertible),
-                    lambda: _find_radical_product(ctx.sys, I, invertible))
-
-
-def _find_radical_product(sys: System, I: Ideal, invertible: bool):
-    """The search behind _radical_product_search.
-
-    The depth bound is complete: a factor below a height-one prime P raises
-    the largest closed P-power containing the partial product, any factor
-    below no height-one prime raises the total counting degree of every
-    member, and both quantities are capped by I itself.  Every factor
-    contains the product, and for a system that closes as s a product
-    stays one when each factor is cut down to I's face
-    (``docs/exactness.md``, "Fixed witnesses stay in their face").
-    """
-    H = sys.monoid
-    universe = invertible_radicals(sys) if invertible \
-        else radical_closed_ideals(sys)
-    face = _face(I) if sys.op == "s" else None
-    universe = [R for R in universe if ideal_subset(I, R)
-                and (face is None or _face(R) <= face)]
-    if not universe:
-        return None
-    bound = sum(power_depths(I, sys))
-    bound += min(sum(g[i] for i in H.counting) for g in I.gens)
-    hit: list = []
-
-    def dfs(cur, start, depth):
-        if hit:
-            return
-        if ideal_eq(cur, I):
-            hit.append(list(path))
-            return
-        if depth == 0:
-            return
-        for idx in range(start, len(universe)):
-            nxt = close(sys, ideal_sum(cur, universe[idx]))
-            if not ideal_subset(I, nxt):
-                continue
-            path.append(universe[idx])
-            dfs(nxt, idx, depth - 1)
-            path.pop()
-
-    path: list = []
-    dfs(unit_ideal(H), 0, bound)
-    return hit[0] if hit else None
-
-
-def _meager_intersection_exists(ctx: PropertyContext, I: Ideal) -> bool:
-    """Complete scan: some family of invertible radical closed ideals meets
-    in radical(I) and passes the meager containment rows for I."""
-    U = invertible_radicals(ctx.sys)
-    return meager_family(I, ctx.sys, len(U)) is not None
-
-
 # --------------------------------------------------------------------------
 # property registry
 
@@ -418,8 +354,8 @@ def _prop(name):
 def _singular_only(name, vacuous_note, regular_note, refute):
     """Register a property that holds vacuously without counting
     coordinates and structurally on regular models.  On a singular model
-    ``refute(ctx, w)`` checks that it fails at the least singular
-    principal ideal w and returns the false verdict."""
+    ``refute(ctx, w)`` returns the false verdict at the least singular
+    principal ideal w."""
     def decide(ctx):
         if not ctx.monoid.counting:
             return _t(note=vacuous_note, vacuous=True)
@@ -430,13 +366,10 @@ def _singular_only(name, vacuous_note, regular_note, refute):
 
 
 def _no_radical_product(note):
-    """Refuted at w: the complete bounded search finds no product of
-    radical closed ideals equal to w."""
-    def refute(ctx, w):
-        if _radical_product_search(ctx, w) is not None:
-            raise AssertionError
-        return _f(w, note=note)
-    return refute
+    """Refuted at w, the least singular principal ideal or the pair
+    witness, with nothing searched: no product of radical closed ideals
+    equals it (``docs/exactness.md``, "Fixed-witness refutations")."""
+    return lambda ctx, w: _f(w, note=note)
 
 
 def _no_radical_peel(note):
@@ -517,8 +450,6 @@ def _p_sp(ctx):
         out = sp_factor(w, ctx.sys)
         if not isinstance(out, Failure):
             raise AssertionError(out)
-        if _radical_product_search(ctx, w) is not None:
-            raise AssertionError
         return _f(out.witness,
                   note=f"the principal ideal {list(w.gens[0])}+H has no "
                        "factorization into radical closed ideals; its "
@@ -527,13 +458,9 @@ def _p_sp(ctx):
         return _t(note="closed ideals are principal and peel along supports"
                   if ctx.eff == "t"
                   else "closed ideals are powers of the height-one cell")
-    w = _pair_witness(ctx, 3)
-    if not ideal_eq(close(ctx.sys, w), w):
-        raise AssertionError
-    if _radical_product_search(ctx, w) is not None:
-        raise AssertionError
-    return _f(w, note="closed ideal with no factorization into radical "
-                      "closed ideals; the complete bounded search is empty")
+    return _f(_pair_witness(ctx, 3),
+              note="closed ideal with no factorization into radical closed "
+                   "ideals; the pair-witness lemma rules out every one")
 
 
 # The invertible/principal twins: (word, test of a closed ideal).
@@ -933,22 +860,13 @@ def _p_intersection_localizations(ctx):
                    "height-one denominator, hence lies in H")
 
 
-def _no_invertible_radical_factors(ctx, w):
-    out = meager_factor(w, ctx.sys)
-    if not isinstance(out, Failure):
-        raise AssertionError
-    if _radical_product_search(ctx, w, invertible=True) is not None:
-        raise AssertionError
-    return _f(w, note="invertible ideal with no factorization into "
-                      "invertible radical closed ideals; its radical is "
-                      "not invertible")
-
-
 # Invertible closed ideals factor into invertible radical closed ideals.
 _singular_only(
     "invertibles_radical_factorial", "the only invertible ideal is H",
     "principal generators split along their supports into invertible cells",
-    _no_invertible_radical_factors)
+    _no_radical_product("invertible ideal with no factorization into "
+                        "invertible radical closed ideals; its radical is "
+                        "not invertible"))
 
 # Invertible closed ideals are products of radical closed ideals,
 # invertible or not.
@@ -956,8 +874,8 @@ _singular_only(
     "invertible_radical_product", "the only invertible ideal is H",
     "support peeling factors every principal ideal into radical cells",
     _no_radical_product("invertible ideal that is no product of radical "
-                        "closed ideals; the complete bounded search is "
-                        "empty"))
+                        "closed ideals; the singular-cell lemma rules out "
+                        "every one"))
 
 # Invertible closed ideals are products of pairwise comparable radical
 # closed ideals.
@@ -1024,19 +942,15 @@ def _p_closed_comparable_radical_product(ctx):
     return refute(ctx, _pair_witness(ctx, 3))
 
 
-def _no_meager_family(ctx, w):
-    if _meager_intersection_exists(ctx, w):
-        raise AssertionError
-    return _f(radical(w), note="no meager family of invertible radical "
-                               "closed ideals meets in this radical")
-
-
 # Radicals of invertible closed ideals are meager intersections of
-# invertible radical closed ideals.
+# invertible radical closed ideals; at w none meets in rad(w) (the
+# singular-cell lemma).
 _singular_only(
     "meager_radical_intersections", "the only invertible ideal is H",
     "the singleton family of the support cell is meager",
-    _no_meager_family)
+    lambda ctx, w: _f(radical(w), note="no meager family of invertible "
+                                       "radical closed ideals meets in this "
+                                       "radical"))
 
 
 # --------------------------------------------------------------------------

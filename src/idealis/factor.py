@@ -346,17 +346,14 @@ def power_depth(I: Ideal, R: Ideal, sys: System) -> int:
     return k
 
 
-def power_depths(I: Ideal, sys: System) -> tuple[int, ...]:
-    """power_depth of I at each height-one prime."""
-    return tuple(power_depth(I, P.ideal, sys) for P in height_one(sys.monoid))
-
-
 def meager_family(I: Ideal, sys: System, max_size: int):
     """The first family of at most max_size invertible radical closed ideals,
     by size and then in their order, that meets in radical(I) and is meager
-    for I; None when there is none."""
+    for I; None when there is none.  A meet lies inside each member, so
+    only the ideals that contain radical(I) are combined; they keep their
+    order, and so the first family is the same."""
     rad = radical(I)
-    universe = invertible_radicals(sys)
+    universe = [J for J in invertible_radicals(sys) if ideal_subset(rad, J)]
     for size in range(1, min(max_size, len(universe)) + 1):
         for combo in combinations(universe, size):
             meet = reduce(ideal_intersect, combo)

@@ -439,10 +439,11 @@ def radical_closed_by_filter(sys) -> tuple:
 def radical_product_full(sys, I, invertible: bool):
     """A product of proper radical closed ideals equal to I, or None, by a
     depth-first search over every such ideal that contains I (only the
-    invertible ones when ``invertible``), to the depth bound of
-    ``classify._find_radical_product``."""
-    from idealis.factor import (invertible_radicals, power_depths,
-                                radical_closed_ideals)
+    invertible ones when ``invertible``).  The depth bound is complete: a
+    factor below a height-one prime P raises the largest closed P-power
+    containing the partial product, a factor below no height-one prime
+    raises the total counting degree of every member, and I caps both."""
+    from idealis.factor import invertible_radicals, radical_closed_ideals
     from idealis.ideals import ideal_eq, ideal_subset, ideal_sum, unit_ideal
     from idealis.systems import close
 
@@ -467,6 +468,32 @@ def radical_product_full(sys, I, invertible: bool):
         return None
 
     return dfs(unit_ideal(H), 0, bound) if universe else None
+
+
+def power_depths(I, sys) -> tuple:
+    """``factor.power_depth`` of I at each height-one prime."""
+    from idealis.factor import power_depth
+    from idealis.spectrum import height_one
+
+    return tuple(power_depth(I, P.ideal, sys) for P in height_one(sys.monoid))
+
+
+def meager_family_full(I, sys, max_size: int):
+    """``factor.meager_family`` without its filter: the first family of at
+    most max_size invertible radical closed ideals, by size and then in
+    their order, that meets in radical(I) and is meager for I, trying
+    every combination of the whole universe."""
+    from idealis.factor import invertible_radicals, meager_check
+    from idealis.ideals import ideal_eq, ideal_intersect, radical
+
+    rad = radical(I)
+    universe = invertible_radicals(sys)
+    for size in range(1, min(max_size, len(universe)) + 1):
+        for combo in itertools.combinations(universe, size):
+            if ideal_eq(functools.reduce(ideal_intersect, combo), rad) \
+                    and meager_check(combo, I, sys).meager:
+                return combo
+    return None
 
 
 @functools.lru_cache(maxsize=4)

@@ -7,14 +7,14 @@ import pytest
 
 import bruteforce as bf
 from idealis import _kernel as K, corpus, factor
-from idealis.classify import PropertyContext
+from idealis.classify import PropertyContext, _least_singular_principal
 from idealis.factor import (_CHAIN_BUDGET, Failure, PreconditionFailed,
                             _meager_step, class_group_probe, cofactor,
                             divides_in_invertibles, invertible_radicals,
                             is_invertible, is_radical_in_invertibles,
-                            meager_check, meager_factor, power_depths,
-                            radical_closed_ideals, radical_factor_principal,
-                            sp_factor, support_witness)
+                            meager_check, meager_factor, radical_closed_ideals,
+                            radical_factor_principal, sp_factor,
+                            support_witness)
 from idealis.ideals import (ideal_eq, ideal_from, ideal_subset, ideal_sum,
                             principal, radical, unit_ideal)
 from idealis.monoid import free_monoid, group_monoid, numerical_monoid, product
@@ -327,10 +327,36 @@ def test_meager_peel_lowers_the_measure(certified):
                 if isinstance(step, Failure):
                     continue
                 _, rest = step
-                assert max(power_depths(rest, sys), default=0) < \
-                    max(power_depths(I, sys)), (name, lbl, I)
+                assert max(bf.power_depths(rest, sys), default=0) < \
+                    max(bf.power_depths(I, sys)), (name, lbl, I)
                 peeled += 1
     assert peeled >= 300
+
+
+def test_meager_family_is_the_unfiltered_scan(certified):
+    """meager_family combines only the invertible radicals that contain
+    radical(I); it returns the family that the scan over every one of them
+    (``bruteforce.meager_family_full``) returns first, at the peel's size 3
+    and at the universe's size, on every proper invertible closed ideal of
+    the deciders' lattices and at the least singular principal ideal, on
+    the named models and free 3."""
+    outcomes = set()
+    for name, H in dict(certified, free3=free_monoid("free3", 3)).items():
+        for lbl in ("s", "w", "t"):
+            ctx = PropertyContext(system(lbl, H), 8)
+            sys = ctx.sys
+            lat = ctx.lattice() or ctx.lattice_at(2)
+            ideals = [I for I in lat
+                      if ctx.proper(I) and is_invertible(I, sys)]
+            if ctx.singular:
+                ideals.append(_least_singular_principal(ctx))
+            for I in ideals:
+                for k in (3, len(invertible_radicals(sys))):
+                    got = factor.meager_family(I, sys, k)
+                    assert got == bf.meager_family_full(I, sys, k), \
+                        (name, lbl, I, k)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_support_witness(n2):

@@ -273,3 +273,17 @@ def test_cli_contract_lives_in_report():
                     and node.attr == "certified":
                 found.append(f"{fn.name}:{node.lineno} reads .certified")
     assert not found, found
+
+
+def test_fixed_witness_refutations_search_nothing():
+    # the radical-product and meager-family refutations rest on the lemmas
+    # of docs/exactness.md ("Fixed-witness refutations"); their exhaustive
+    # searches are oracles in tests/bruteforce.py, not classify helpers
+    tree = ast.parse((SRC / "classify.py").read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, ast.FunctionDef)}
+    imported = {a.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not defined & {"_radical_product_search", "_find_radical_product",
+                          "_meager_intersection_exists"}
+    assert not imported & {"meager_family", "meager_factor"}
